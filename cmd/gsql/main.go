@@ -178,9 +178,10 @@ func main() {
 }
 
 // reportResult prints a statement's result table plus, for reads, where it
-// was served and the per-layer scan counters. It is shared by the ad-hoc
-// and prepared execution paths, so `\exec` reports the same
-// storage/DN-filtered/WAN numbers an ad-hoc SELECT does.
+// was served, and for reads and UPDATE/DELETE the per-layer scan counters.
+// It is shared by the ad-hoc and prepared execution paths, so `\exec`
+// reports the same storage/DN-filtered/WAN numbers an ad-hoc statement
+// does.
 func reportResult(w io.Writer, res *gsql.Result, elapsed time.Duration, commits stats.CommitPathSnapshot) {
 	fmt.Fprint(w, gsql.FormatTable(res))
 	// Write statements report their slice of the commit path: how many
@@ -193,14 +194,13 @@ func reportResult(w io.Writer, res *gsql.Result, elapsed time.Duration, commits 
 			commits.Commits, commits.Fsyncs, commits.FsyncsPerCommit(),
 			commits.FsyncsSaved, commits.AsyncResolves)
 	}
-	if len(res.Columns) == 0 {
-		return
+	if len(res.Columns) > 0 {
+		where := "primaries"
+		if res.OnReplicas {
+			where = "replicas (RCP snapshot)"
+		}
+		fmt.Fprintf(w, "read from %s — %v\n", where, elapsed.Round(time.Microsecond))
 	}
-	where := "primaries"
-	if res.OnReplicas {
-		where = "replicas (RCP snapshot)"
-	}
-	fmt.Fprintf(w, "read from %s — %v\n", where, elapsed.Round(time.Microsecond))
 	// Joins name the physical strategy the engine picked (AUTO resolves
 	// per statement) and, for pushed lookup joins, how many inner rows the
 	// data nodes read locally instead of shipping.

@@ -101,6 +101,30 @@ SELECT * FROM kv WHERE v >= 30;
 	}
 }
 
+// TestShellDMLScanLine pins the scan counters for UPDATE and DELETE: their
+// row search runs on the SELECT pipeline, so a filtered statement on a
+// primary-key prefix prints the DN-filtered rows and ships only the rows
+// it writes.
+func TestShellDMLScanLine(t *testing.T) {
+	script := `CREATE TABLE ord (w_id BIGINT, o_id BIGINT, amt BIGINT, PRIMARY KEY (w_id, o_id)) SHARD BY w_id;
+INSERT INTO ord VALUES (1, 1, 10), (1, 2, 20), (1, 3, 30), (2, 1, 40);
+UPDATE ord SET amt = amt + 1 WHERE w_id = 1 AND amt > 15;
+DELETE FROM ord WHERE w_id = 1 AND amt > 25;
+\q
+`
+	out := runShell(t, script)
+	for _, want := range []string{
+		"UPDATE 2\n",
+		"scan: storage=3 rows, filtered at DN=1, shipped over WAN=2\n",
+		"DELETE 1\n",
+		"scan: storage=3 rows, filtered at DN=2, shipped over WAN=1\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("shell output missing %q:\n%s", want, out)
+		}
+	}
+}
+
 // TestShellJoinStrategyLine pins the join reporting: a two-table query
 // prints the physical strategy the engine picked, pushed lookup joins add
 // the DN-side inner read count, and single-table reads print no join line.

@@ -4,27 +4,22 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 
 	"globaldb"
 	"globaldb/gsql/fragment"
+	"globaldb/internal/keys"
 	"globaldb/internal/table"
 )
 
 // reader is the read surface shared by read-write transactions and
 // read-only (replica) queries. Both globaldb.Tx and globaldb.Query
-// implement it. The Rows variants stream pages on demand and are what the
-// operator pipeline runs on; the materializing variants remain for the
-// legacy drain path (kept as the differential-testing oracle and for
-// UPDATE/DELETE row collection).
+// implement it. Its scans stream pages on demand; the operator pipeline
+// that SELECT, UPDATE and DELETE all run on is built over them.
 type reader interface {
 	Get(ctx context.Context, tableName string, pkVals []any) (globaldb.Row, bool, error)
 	ScanPKRows(ctx context.Context, tableName string, pkPrefix []any, o globaldb.ScanOpts) (*globaldb.Rows, error)
 	ScanIndexRows(ctx context.Context, tableName, indexName string, prefix []any, o globaldb.ScanOpts) (*globaldb.Rows, error)
 	ScanTableRows(ctx context.Context, tableName string, o globaldb.ScanOpts) (*globaldb.Rows, error)
-	ScanPK(ctx context.Context, tableName string, pkPrefix []any, limit int) ([]globaldb.Row, error)
-	ScanIndex(ctx context.Context, tableName, indexName string, prefix []any, limit int) ([]globaldb.Row, error)
-	ScanTable(ctx context.Context, tableName string, limit int) ([]globaldb.Row, error)
 }
 
 var (
@@ -59,38 +54,50 @@ func (e *rowEnv) paramValue(idx int) (any, error) {
 	return e.params[idx-1], nil
 }
 
-// execSelect runs a planned SELECT against a reader. Plans with a pushed
-// aggregation run DN-partial/CN-final: data nodes fold matching rows into
-// per-group partial states and the CN merges them. Everything else runs
-// through the streaming operator pipeline (scan, with any pushed filter
-// and projection evaluated on the data nodes -> join -> residual filter ->
-// project/aggregate/sort/limit). Orderings and aggregates drain the
-// pipeline; everything else streams and terminates the scans early once
-// LIMIT is satisfied.
-func execSelect(ctx context.Context, r reader, p *boundPlan) (*Result, error) {
+// runSelect executes a bound SELECT against a reader and returns its output
+// as Rows. Plans with a pushed aggregation run DN-partial/CN-final: data
+// nodes fold matching rows into per-group partial states and the CN merges
+// them. Everything else runs through the operator pipeline (scan, with any
+// pushed filter and projection evaluated on the data nodes -> join ->
+// residual filter). An ungrouped stream whose order the scan already
+// satisfies is returned still streaming: Rows.Next projects it and applies
+// DISTINCT, OFFSET and LIMIT, and stops the scans once LIMIT is met.
+// Aggregation and sorting are pipeline breakers: they run to completion
+// here and the Rows iterates their result.
+func runSelect(ctx context.Context, r reader, p *boundPlan) (*Rows, error) {
 	if p.push != nil && p.push.agg && !p.noPushdown {
-		res, ok, err := execPushedAgg(ctx, r, p)
+		totals := &scanTotals{}
+		res, ok, err := execPushedAgg(ctx, r, p, totals)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			return res, nil
+			return &Rows{cols: res.Columns, mat: res.Rows, totals: totals}, nil
 		}
 	}
 	it, orderDone, totals, err := buildPipeline(ctx, r, p)
 	if err != nil {
 		return nil, err
 	}
-	res, err := finishSelect(ctx, p, it, orderDone)
+	rows := &Rows{ctx: ctx, cols: p.outCols, totals: totals}
+	if p.inner != nil {
+		rows.join = p.chosenJoin.String()
+	}
+	if !p.grouped && (len(p.orderBy) == 0 || orderDone) {
+		rows.bp, rows.it = p, it
+		rows.env = rowEnv{tables: p.tables, params: p.params}
+		if p.distinct {
+			rows.seen = make(map[string]bool)
+		}
+		return rows, nil
+	}
+	res, err := finishSelect(ctx, p, it)
 	it.Close()
 	if err != nil {
 		return nil, err
 	}
-	res.Scan = totals.s
-	if p.inner != nil {
-		res.JoinStrategy = p.chosenJoin.String()
-	}
-	return res, nil
+	rows.mat = res.Rows
+	return rows, nil
 }
 
 // execPushedAgg runs a grouped SELECT with DN-partial aggregation: each
@@ -98,68 +105,48 @@ func execSelect(ctx context.Context, r reader, p *boundPlan) (*Result, error) {
 // merge combines equal groups across shards, and this function finalizes
 // the states into SQL aggregate values, then applies HAVING, output
 // expressions, ORDER BY and LIMIT exactly as CN-side aggregation would.
-// ok=false means the fragment could not be bound for this execution and
-// the caller should fall back to the CN-side path.
-func execPushedAgg(ctx context.Context, r reader, p *boundPlan) (res *Result, ok bool, err error) {
+// The scan's counters accumulate into totals. ok=false means the fragment
+// could not be bound for this execution and the caller should fall back to
+// the CN-side path.
+func execPushedAgg(ctx context.Context, r reader, p *boundPlan, totals *scanTotals) (res *Result, ok bool, err error) {
 	pp := p.push
 	bf, err := pp.frag.Bind(p.params)
 	if err != nil {
 		return nil, false, nil
 	}
-	s := p.outer
-	sch := s.tab.schema
-	env := &rowEnv{tables: p.tables, params: p.params}
-	opts := globaldb.ScanOpts{Range: scanRange(s, env), Pushdown: bf}
-	var rows *globaldb.Rows
-	switch s.kind {
-	case accessFull:
-		rows, err = r.ScanTableRows(ctx, sch.Name, opts)
-	case accessPKPrefix:
-		keyVals := make([]any, len(s.keyExprs))
-		for i, e := range s.keyExprs {
-			v, evalErr := evalExpr(e, env)
-			if evalErr != nil {
-				return nil, true, evalErr
-			}
-			keyVals[i] = v
-		}
-		keyVals, err = coerceKey(sch, sch.PK[:len(keyVals)], keyVals)
-		if err != nil {
-			return nil, true, err
-		}
-		rows, err = r.ScanPKRows(ctx, sch.Name, keyVals, opts)
-	default:
-		return nil, false, nil
-	}
+	it, err := openScan(ctx, r, p, p.outer, nil, 0, 0, 0, bf, totals)
 	if err != nil {
 		return nil, true, err
 	}
-	defer rows.Close()
+	defer it.Close()
 
+	sch := p.outer.tab.schema
 	ngroup := len(pp.groupCols)
 	var groups []finishedGroup
-	for rows.Next() {
-		row := rows.Row()
-		if len(row) != ngroup+len(p.aggs) {
-			return nil, true, fmt.Errorf("gsql: partial aggregate row has %d values, want %d", len(row), ngroup+len(p.aggs))
-		}
-		// Rebuild a representative row from the group key so group-column
-		// references in outputs, HAVING and ORDER BY resolve.
-		rep := make(table.Row, len(sch.Columns))
-		for i, ci := range pp.groupCols {
-			rep[ci] = row[i]
-		}
-		vals := make(map[string]any, len(p.aggs))
-		for i := range p.aggs {
-			st, isState := row[ngroup+i].(fragment.AggState)
-			if !isState {
-				return nil, true, fmt.Errorf("gsql: partial aggregate slot %d holds %T", i, row[ngroup+i])
+	blk, err := it.NextBlock(ctx)
+	for ; blk != nil; blk, err = it.NextBlock(ctx) {
+		for _, row := range blk.tabs[0] {
+			if len(row) != ngroup+len(p.aggs) {
+				return nil, true, fmt.Errorf("gsql: partial aggregate row has %d values, want %d", len(row), ngroup+len(p.aggs))
 			}
-			vals[p.aggKeys[i]] = st.Final(pp.frag.Aggs[i].Kind)
+			// Rebuild a representative row from the group key so group-column
+			// references in outputs, HAVING and ORDER BY resolve.
+			rep := make(table.Row, len(sch.Columns))
+			for i, ci := range pp.groupCols {
+				rep[ci] = row[i]
+			}
+			vals := make(map[string]any, len(p.aggs))
+			for i := range p.aggs {
+				st, isState := row[ngroup+i].(fragment.AggState)
+				if !isState {
+					return nil, true, fmt.Errorf("gsql: partial aggregate slot %d holds %T", i, row[ngroup+i])
+				}
+				vals[p.aggKeys[i]] = st.Final(pp.frag.Aggs[i].Kind)
+			}
+			groups = append(groups, finishedGroup{rep: []table.Row{rep}, vals: vals})
 		}
-		groups = append(groups, finishedGroup{rep: []table.Row{rep}, vals: vals})
 	}
-	if err := rows.Err(); err != nil {
+	if err != nil {
 		return nil, true, err
 	}
 	// A global aggregate over zero rows still yields one output row, with
@@ -172,79 +159,21 @@ func execPushedAgg(ctx context.Context, r reader, p *boundPlan) (res *Result, ok
 		groups = append(groups, finishedGroup{rep: nil, vals: vals})
 	}
 	res, err = finishAggGroups(p, groups)
-	if err != nil {
-		return nil, true, err
-	}
-	res.Scan = rows.ScanStats()
-	return res, true, nil
+	return res, true, err
 }
 
-// execSelectMaterialized is the legacy drain-everything path: every scan
-// materializes before the next stage runs. It is retained as the oracle the
-// differential tests compare the streaming pipeline against.
-func execSelectMaterialized(ctx context.Context, r reader, p *boundPlan) (*Result, error) {
-	rows, err := joinRows(ctx, r, p)
-	if err != nil {
-		return nil, err
-	}
-	return finishSelect(ctx, p, newSliceBlocks(rows, len(p.tables)), false)
-}
-
-// finishSelect consumes the combined-row block stream and produces the
-// result: aggregation or projection, then ordering, DISTINCT, OFFSET and
-// LIMIT. When there is no ORDER BY — or orderDone says the stream already
-// arrives in ORDER BY order (order-preserving scan) — the non-grouped path
-// streams and stops pulling as soon as the limit is met: the early
-// termination that makes LIMIT k cost O(k·page) rows end to end. ORDER BY
-// with a LIMIT keeps only a bounded top-N heap instead of draining and
-// sorting the whole input.
-func finishSelect(ctx context.Context, p *boundPlan, it blockIter, orderDone bool) (*Result, error) {
+// finishSelect consumes a pipeline-breaking block stream — aggregation, or
+// an ORDER BY the scan does not deliver — and produces the result:
+// aggregation or projection, then ordering, DISTINCT, OFFSET and LIMIT.
+// ORDER BY with a LIMIT keeps only a bounded top-N heap instead of
+// draining and sorting the whole input.
+func finishSelect(ctx context.Context, p *boundPlan, it blockIter) (*Result, error) {
 	if p.grouped {
 		return aggregateRows(ctx, p, it)
 	}
 	out := &Result{Columns: p.outCols}
 	env := rowEnv{tables: p.tables, params: p.params}
 	var scr [2]table.Row
-	if len(p.orderBy) == 0 || orderDone {
-		var seen map[string]bool
-		if p.distinct {
-			seen = make(map[string]bool)
-		}
-		skipped := int64(0)
-	stream:
-		for p.limit < 0 || int64(len(out.Rows)) < p.limit {
-			blk, err := it.NextBlock(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if blk == nil {
-				break
-			}
-			for i, n := 0, blk.n(); i < n; i++ {
-				if p.limit >= 0 && int64(len(out.Rows)) >= p.limit {
-					break stream
-				}
-				env.rows = blk.row(i, scr[:])
-				outRow, err := projectEnv(p, &env)
-				if err != nil {
-					return nil, err
-				}
-				if seen != nil {
-					key := distinctKey(outRow)
-					if seen[key] {
-						continue
-					}
-					seen[key] = true
-				}
-				if skipped < p.offset {
-					skipped++
-					continue
-				}
-				out.Rows = append(out.Rows, outRow)
-			}
-		}
-		return out, nil
-	}
 	// ORDER BY: with a LIMIT (and no DISTINCT, which dedups after the
 	// sort), keep only the top limit+offset rows in a bounded heap —
 	// O(N log k) comparisons and O(k) memory instead of materializing and
@@ -252,7 +181,7 @@ func finishSelect(ctx context.Context, p *boundPlan, it blockIter, orderDone boo
 	// pre-projection keys. limit+offset >= 0 rejects sentinel-huge limits
 	// whose sum overflows (MaxInt64 LIMITs are a common "no limit"
 	// idiom); those take the drain path, which never sums them.
-	if p.limit >= 0 && !p.distinct && p.limit+p.offset >= 0 {
+	if len(p.orderBy) > 0 && p.limit >= 0 && !p.distinct && p.limit+p.offset >= 0 {
 		top := newTopN(p.orderBy, p.limit+p.offset)
 		for {
 			blk, err := it.NextBlock(ctx)
@@ -343,113 +272,6 @@ func projectEnv(p *boundPlan, env *rowEnv) ([]any, error) {
 	return outRow, nil
 }
 
-// joinRows produces the combined (outer[, inner]) rows passing the filter,
-// materializing every scan — the legacy path (differential oracle, and row
-// collection for UPDATE/DELETE which must materialize before writing).
-func joinRows(ctx context.Context, r reader, p *boundPlan) ([][]table.Row, error) {
-	// A limit can be pushed into the outer scan only when nothing after it
-	// can drop or reorder rows.
-	pushLimit := 0
-	if p.limit >= 0 && p.filter == nil && p.inner == nil && !p.grouped &&
-		len(p.orderBy) == 0 && !p.distinct && p.offset == 0 {
-		pushLimit = int(p.limit)
-	}
-	outerRows, err := scanOne(ctx, r, p, p.outer, nil, pushLimit)
-	if err != nil {
-		return nil, err
-	}
-	var combined [][]table.Row
-	for _, orow := range outerRows {
-		if p.inner == nil {
-			cr := []table.Row{orow}
-			ok, err := passes(p.filter, p.tables, cr, p.params)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				combined = append(combined, cr)
-			}
-			continue
-		}
-		innerRows, err := scanOne(ctx, r, p, p.inner, orow, 0)
-		if err != nil {
-			return nil, err
-		}
-		for _, irow := range innerRows {
-			cr := []table.Row{orow, irow}
-			ok, err := passes(p.filter, p.tables, cr, p.params)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				combined = append(combined, cr)
-			}
-		}
-	}
-	return combined, nil
-}
-
-func passes(filter Expr, tables []*boundTable, rows []table.Row, params []any) (bool, error) {
-	if filter == nil {
-		return true, nil
-	}
-	v, err := evalExpr(filter, &rowEnv{tables: tables, rows: rows, params: params})
-	if err != nil {
-		return false, err
-	}
-	return truthy(v)
-}
-
-// scanOne executes one table scan. outerRow, when non-nil, binds outer
-// column references in the scan's key expressions (join inner lookups).
-func scanOne(ctx context.Context, r reader, p *boundPlan, s *tableScan, outerRow table.Row, limit int) ([]table.Row, error) {
-	env := &rowEnv{tables: p.tables, params: p.params}
-	if outerRow != nil {
-		env.rows = []table.Row{outerRow}
-	}
-	keyVals := make([]any, len(s.keyExprs))
-	for i, e := range s.keyExprs {
-		v, err := evalExpr(e, env)
-		if err != nil {
-			return nil, err
-		}
-		keyVals[i] = v
-	}
-	name := s.tab.schema.Name
-	switch s.kind {
-	case accessPoint:
-		keyVals, err := coerceKey(s.tab.schema, s.tab.schema.PK, keyVals)
-		if err != nil {
-			return nil, err
-		}
-		row, found, err := r.Get(ctx, name, keyVals)
-		if err != nil || !found {
-			return nil, err
-		}
-		return []table.Row{row}, nil
-	case accessPKPrefix:
-		keyVals, err := coerceKey(s.tab.schema, s.tab.schema.PK[:len(keyVals)], keyVals)
-		if err != nil {
-			return nil, err
-		}
-		return r.ScanPK(ctx, name, keyVals, limit)
-	case accessIndex:
-		ix, err := findIndex(s.tab.schema, s.index)
-		if err != nil {
-			return nil, err
-		}
-		keyVals, err := coerceKey(s.tab.schema, ix.Cols[:len(keyVals)], keyVals)
-		if err != nil {
-			return nil, err
-		}
-		return r.ScanIndex(ctx, name, s.index, keyVals, limit)
-	case accessFull:
-		return r.ScanTable(ctx, name, limit)
-	default:
-		return nil, fmt.Errorf("gsql: unknown access kind %v", s.kind)
-	}
-}
-
 func findIndex(sch *table.Schema, name string) (table.Index, error) {
 	for _, ix := range sch.Indexes {
 		if ix.Name == name {
@@ -524,6 +346,7 @@ type aggState struct {
 	isFloat  bool
 	min, max any
 	distinct map[string]bool
+	enc      keys.Encoder // distinctKey scratch
 }
 
 func newAggState(fn *FuncExpr) *aggState {
@@ -555,11 +378,14 @@ func (st *aggState) add(env evalEnv) error {
 		return nil // SQL aggregates skip NULLs
 	}
 	if st.distinct != nil {
-		key := fmt.Sprintf("%T:%v", v, v)
-		if st.distinct[key] {
+		key, err := distinctKey(&st.enc, []any{v})
+		if err != nil {
+			return err
+		}
+		if st.distinct[string(key)] {
 			return nil
 		}
-		st.distinct[key] = true
+		st.distinct[string(key)] = true
 	}
 	st.count++
 	switch st.fn.Name {
@@ -720,6 +546,7 @@ func aggregateRows(ctx context.Context, p *boundPlan, it blockIter) (*Result, er
 
 	env := rowEnv{tables: p.tables, params: p.params}
 	var scr [2]table.Row
+	var enc keys.Encoder
 	keyVals := make([]any, len(p.groupBy))
 	for {
 		blk, err := it.NextBlock(ctx)
@@ -738,9 +565,13 @@ func aggregateRows(ctx context.Context, p *boundPlan, it blockIter) (*Result, er
 				}
 				keyVals[gi] = v
 			}
-			key := distinctKey(keyVals)
-			grp, ok := groups[key]
+			kb, err := distinctKey(&enc, keyVals)
+			if err != nil {
+				return nil, err
+			}
+			grp, ok := groups[string(kb)]
 			if !ok {
+				key := string(kb)
 				grp = &group{rep: append([]table.Row(nil), env.rows...)}
 				for _, fn := range p.aggs {
 					grp.states = append(grp.states, newAggState(fn))
@@ -864,13 +695,17 @@ func sortAndLimit(p *boundPlan, res *Result, sortKeys [][]any) error {
 	}
 	if p.distinct {
 		seen := make(map[string]bool, len(res.Rows))
+		var enc keys.Encoder
 		kept := res.Rows[:0]
 		for _, row := range res.Rows {
-			key := distinctKey(row)
-			if seen[key] {
+			key, err := distinctKey(&enc, row)
+			if err != nil {
+				return err
+			}
+			if seen[string(key)] {
 				continue
 			}
-			seen[key] = true
+			seen[string(key)] = true
 			kept = append(kept, row)
 		}
 		res.Rows = kept
@@ -888,17 +723,21 @@ func sortAndLimit(p *boundPlan, res *Result, sortKeys [][]any) error {
 	return nil
 }
 
-// distinctKey builds a collision-free dedup key for DISTINCT rows and
-// GROUP BY tuples: each value is type-tagged (so NULL never merges with
-// the text "<nil>") and length-prefixed (so no embedded byte in a TEXT
-// value can shift tuple boundaries and make distinct tuples collide).
-func distinctKey(row []any) string {
-	var sb strings.Builder
-	for _, v := range row {
-		part := fmt.Sprintf("%T:%v", v, v)
-		fmt.Fprintf(&sb, "%d:%s;", len(part), part)
+// distinctKey encodes a DISTINCT row, GROUP BY tuple or COUNT(DISTINCT)
+// argument into enc (reset first) with the memcomparable key encoding that
+// primary keys, indexes and DN group keys use, so CN-side dedup shares
+// their one definition of equality: -0 and +0 coincide, every NaN is one
+// value, and the type-tagged, self-delimiting elements keep NULL, BIGINT
+// and DOUBLE values, and tuple boundaries, apart. The key aliases enc's
+// buffer until the next call.
+func distinctKey(enc *keys.Encoder, vals []any) ([]byte, error) {
+	enc.Reset()
+	for _, v := range vals {
+		if err := fragment.AppendKeyValue(enc, v); err != nil {
+			return nil, err
+		}
 	}
-	return sb.String()
+	return enc.Bytes(), nil
 }
 
 // compareNullable orders values with NULLs first.

@@ -24,10 +24,11 @@ type Result struct {
 	// OnReplicas reports whether a SELECT was served from asynchronous
 	// replicas at the RCP (read-on-replica) rather than shard primaries.
 	OnReplicas bool
-	// Scan reports the SELECT's per-layer scan row counts: rows read from
-	// storage by data nodes, rows dropped DN-side (pushed filters and
-	// partial aggregation), and rows shipped over the WAN — the pushdown
-	// win, observable per query.
+	// Scan reports the statement's per-layer scan row counts (SELECT, and
+	// the row search of UPDATE/DELETE): rows read from storage by data
+	// nodes, rows dropped DN-side (pushed filters and partial aggregation),
+	// and rows shipped over the WAN — the pushdown win, observable per
+	// statement.
 	Scan globaldb.ScanStats
 	// Trace is the rendered span tree of this statement's execution, set
 	// when session tracing is on (SetTrace / the shell's \trace toggle).
@@ -369,66 +370,21 @@ func (s *Session) execShow(st *Show) (*Result, error) {
 	}
 }
 
-// execSelect runs a SELECT, planning it first unless a cached plan is
-// supplied. Inside an explicit transaction the query reads from shard
-// primaries at the transaction snapshot (and sees its own writes). Outside
-// a transaction it reads primaries at a fresh snapshot by default; SET
-// STALENESS or a per-statement AS OF STALENESS routes it to asynchronous
-// replicas at the RCP (read-on-replica).
+// execSelect runs a SELECT to completion: openSelect, then the Rows
+// drained into a Result.
 func (s *Session) execSelect(ctx context.Context, sel *Select, plan *selectPlan, params []any) (*Result, error) {
-	// root is nil when tracing is off; every span call below is then a
-	// no-op pointer compare, keeping the hot path allocation-free.
-	root := s.curTrace.Root()
-	planSp := root.Child("plan")
-	if plan == nil {
-		var err error
-		if plan, err = planSelect(s, sel); err != nil {
-			return nil, err
-		}
-	} else {
-		planSp.Tag("cached")
-	}
-	planSp.End()
-	bindSp := root.Child("bind")
-	bp, err := plan.bind(params)
-	bindSp.End()
+	rows, err := s.openSelect(ctx, sel, plan, params)
 	if err != nil {
 		return nil, err
 	}
-	bp.noPushdown = s.pushdownOff
-	bp.joinMode = s.joinMode
-	bp.rowEst = s.db.RowEstimate
-	execSp := root.Child("execute")
-	// The span rides the context into the scan cursors' prefetch
-	// goroutines (per-shard scan-page spans) and the autocommit
-	// transaction's commit fan-out.
-	ctx = obs.WithSpan(ctx, execSp)
-	r, onReplicas, finish, err := s.openReadContext(ctx, sel)
-	if err != nil {
-		execSp.End()
-		return nil, err
-	}
-	res, err := execSelect(ctx, r, bp)
-	if ferr := finish(err == nil); err == nil {
-		err = ferr
-	}
-	if res != nil && res.JoinStrategy != "" {
-		execSp.Tag("join=%s", res.JoinStrategy)
-	}
-	execSp.End()
-	if err != nil {
-		return nil, err
-	}
-	res.OnReplicas = onReplicas
-	return res, nil
+	return rows.result()
 }
 
 // openReadContext picks where a SELECT reads — the session's open
 // transaction, an autocommit transaction on shard primaries (fresh read),
 // or a replica query under the session/statement staleness setting — and
 // returns a finish callback that settles the autocommit transaction once
-// the result has been consumed. Both the materializing Exec path and the
-// streaming Query path dispatch through here.
+// the result has been consumed.
 func (s *Session) openReadContext(ctx context.Context, sel *Select) (r reader, onReplicas bool, finish func(ok bool) error, err error) {
 	noop := func(bool) error { return nil }
 	switch {
@@ -540,9 +496,16 @@ func (s *Session) execInsert(ctx context.Context, ins *Insert, params []any) (*R
 	return &Result{Affected: n, Msg: fmt.Sprintf("INSERT %d", n)}, nil
 }
 
-// matchingRows plans and evaluates a single-table WHERE for UPDATE/DELETE,
-// returning full rows at the transaction's snapshot.
-func matchingRows(ctx context.Context, s *Session, tx *globaldb.Tx, tableName string, where Expr, params []any) ([]table.Row, *boundPlan, error) {
+// writeMatching runs the body of an UPDATE or DELETE in the session
+// transaction, or an autocommit one: it finds the rows the single-table
+// WHERE selects and calls write once per row, with env bound to that row.
+// The row search is planned as `SELECT * ... WHERE` and runs on the
+// operator pipeline SELECT uses — DN filter pushdown, pushed range bounds
+// and the session's pushdown setting included — keeping each block's
+// full-width rows. The pipeline is closed, joining its prefetch
+// goroutines, before the first write. verb names the statement in the
+// result message.
+func (s *Session) writeMatching(ctx context.Context, verb, tableName string, where Expr, params []any, write func(tx *globaldb.Tx, env *rowEnv) error) (*Result, error) {
 	sel := &Select{
 		Items: []SelectItem{{Expr: &Star{}}},
 		From:  TableRef{Table: tableName, Alias: tableName},
@@ -551,21 +514,42 @@ func matchingRows(ctx context.Context, s *Session, tx *globaldb.Tx, tableName st
 	}
 	p, err := planSelect(s, sel)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	bp, err := p.bind(params)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	combined, err := joinRows(ctx, tx, bp)
+	bp.noPushdown = s.pushdownOff
+	var scan globaldb.ScanStats
+	n, err := s.withWriteTxn(ctx, func(tx *globaldb.Tx) (int, error) {
+		it, _, totals, err := buildPipeline(ctx, tx, bp)
+		if err != nil {
+			return 0, err
+		}
+		var rows []table.Row
+		blk, err := it.NextBlock(ctx)
+		for ; blk != nil; blk, err = it.NextBlock(ctx) {
+			rows = append(rows, blk.tabs[0]...)
+		}
+		it.Close()
+		scan = totals.s
+		if err != nil {
+			return 0, err
+		}
+		env := &rowEnv{tables: bp.tables, rows: make([]table.Row, 1), params: params}
+		for _, row := range rows {
+			env.rows[0] = row
+			if err := write(tx, env); err != nil {
+				return 0, err
+			}
+		}
+		return len(rows), nil
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	rows := make([]table.Row, len(combined))
-	for i, c := range combined {
-		rows[i] = c[0]
-	}
-	return rows, bp, nil
+	return &Result{Affected: n, Msg: fmt.Sprintf("%s %d", verb, n), Scan: scan}, nil
 }
 
 func (s *Session) execUpdate(ctx context.Context, u *Update, params []any) (*Result, error) {
@@ -600,36 +584,22 @@ func (s *Session) execUpdate(ctx context.Context, u *Update, params []any) (*Res
 		}
 		bindings = append(bindings, binding{col: ci, expr: a.Expr})
 	}
-	n, err := s.withWriteTxn(ctx, func(tx *globaldb.Tx) (int, error) {
-		rows, p, err := matchingRows(ctx, s, tx, u.Table, u.Where, params)
-		if err != nil {
-			return 0, err
-		}
-		for _, row := range rows {
-			updated := make(globaldb.Row, len(row))
-			copy(updated, row)
-			env := &rowEnv{tables: p.tables, rows: []table.Row{row}, params: params}
-			for _, b := range bindings {
-				v, err := evalExpr(b.expr, env)
-				if err != nil {
-					return 0, err
-				}
-				cv, err := coerceValue(sch, b.col, v)
-				if err != nil {
-					return 0, err
-				}
-				updated[b.col] = cv
+	return s.writeMatching(ctx, "UPDATE", u.Table, u.Where, params, func(tx *globaldb.Tx, env *rowEnv) error {
+		updated := make(globaldb.Row, len(env.rows[0]))
+		copy(updated, env.rows[0])
+		for _, b := range bindings {
+			v, err := evalExpr(b.expr, env)
+			if err != nil {
+				return err
 			}
-			if err := tx.Update(ctx, u.Table, updated); err != nil {
-				return 0, err
+			cv, err := coerceValue(sch, b.col, v)
+			if err != nil {
+				return err
 			}
+			updated[b.col] = cv
 		}
-		return len(rows), nil
+		return tx.Update(ctx, u.Table, updated)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Affected: n, Msg: fmt.Sprintf("UPDATE %d", n)}, nil
 }
 
 func (s *Session) execDelete(ctx context.Context, d *Delete, params []any) (*Result, error) {
@@ -637,26 +607,13 @@ func (s *Session) execDelete(ctx context.Context, d *Delete, params []any) (*Res
 	if err != nil {
 		return nil, err
 	}
-	n, err := s.withWriteTxn(ctx, func(tx *globaldb.Tx) (int, error) {
-		rows, _, err := matchingRows(ctx, s, tx, d.Table, d.Where, params)
-		if err != nil {
-			return 0, err
+	return s.writeMatching(ctx, "DELETE", d.Table, d.Where, params, func(tx *globaldb.Tx, env *rowEnv) error {
+		pkVals := make([]any, len(sch.PK))
+		for i, p := range sch.PK {
+			pkVals[i] = env.rows[0][p]
 		}
-		for _, row := range rows {
-			pkVals := make([]any, len(sch.PK))
-			for i, p := range sch.PK {
-				pkVals[i] = row[p]
-			}
-			if err := tx.Delete(ctx, d.Table, pkVals); err != nil {
-				return 0, err
-			}
-		}
-		return len(rows), nil
+		return tx.Delete(ctx, d.Table, pkVals)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Affected: n, Msg: fmt.Sprintf("DELETE %d", n)}, nil
 }
 
 // sqlKinds maps normalized SQL type names to column kinds.

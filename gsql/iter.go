@@ -17,8 +17,9 @@ import (
 // an inner block. Operators still fetch lazily, so a consumer that stops
 // early — a LIMIT, an aggregate short-circuit — stops the whole pipeline,
 // and the scan at the bottom stops requesting pages from storage. Rows
-// leave block form only at the true row edges: result assembly / driver
-// Rows.Next, and the aggregation hash probe.
+// leave block form only at the true row edges: Rows.Next (which Exec and
+// Query share), the sort and aggregation breakers, and UPDATE/DELETE row
+// collection.
 
 // rowBlock is a batch of combined rows: tabs[t][i] is FROM-table t's row
 // in combined row i. All tabs have equal length. A block returned by
@@ -53,30 +54,11 @@ type blockIter interface {
 	Close()
 }
 
-// sliceBlocks yields one pre-materialized row set as a single block. It
-// backs point-get results and the materializing legacy path used as a
-// differential oracle.
+// sliceBlocks yields one pre-materialized block, or nothing when done is
+// set. It backs point-get results.
 type sliceBlocks struct {
 	blk  rowBlock
 	done bool
-}
-
-// newSliceBlocks converts row-major combined rows into one block.
-func newSliceBlocks(rows [][]table.Row, ntabs int) *sliceBlocks {
-	s := &sliceBlocks{}
-	if len(rows) == 0 {
-		s.done = true
-		return s
-	}
-	s.blk.tabs = make([][]table.Row, ntabs)
-	for t := 0; t < ntabs; t++ {
-		col := make([]table.Row, len(rows))
-		for i, r := range rows {
-			col[i] = r[t]
-		}
-		s.blk.tabs[t] = col
-	}
-	return s
 }
 
 func (s *sliceBlocks) NextBlock(context.Context) (*rowBlock, error) {
@@ -279,7 +261,7 @@ func openScan(ctx context.Context, r reader, p *boundPlan, s *tableScan, outerRo
 		if err != nil || !found {
 			return &sliceBlocks{done: true}, err
 		}
-		return newSliceBlocks([][]table.Row{{row}}, 1), nil
+		return &sliceBlocks{blk: rowBlock{tabs: [][]table.Row{{row}}}}, nil
 	case accessPKPrefix:
 		keyVals, err := coerceKey(s.tab.schema, s.tab.schema.PK[:len(keyVals)], keyVals)
 		if err != nil {
@@ -344,8 +326,9 @@ func scanRange(s *tableScan, env *rowEnv) *globaldb.ScanRange {
 }
 
 // buildPipeline assembles the batch-native operator tree for a planned
-// SELECT: scan(outer, with any DN-side fragment attached) -> [join(inner):
-// fused lookup-pushdown, hash, or nested-loop] -> residual filter.
+// SELECT (UPDATE and DELETE plan their row search as one): scan(outer,
+// with any DN-side fragment attached) -> [join(inner): fused
+// lookup-pushdown, hash, or nested-loop] -> residual filter.
 // orderDone reports whether the scan already delivers rows in the plan's
 // ORDER BY order (so the driver can skip the sort and terminate early on
 // LIMIT). The returned totals accumulate every scan's per-layer row counts

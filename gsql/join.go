@@ -713,10 +713,7 @@ func appendHashKeyCols(enc *keys.Encoder, row table.Row, cols []int, float []boo
 			default:
 				return false
 			}
-			if f == 0 {
-				f = 0 // -0.0 and +0.0 compare equal; hash them equal too
-			}
-			enc.Float64(f)
+			enc.Float64(f) // encodes -0.0 as +0.0, matching SQL equality
 			continue
 		}
 		switch x := v.(type) {

@@ -9,7 +9,7 @@ import (
 
 // TestDifferentialJoinEngine runs randomly generated two-table queries
 // through every physical join strategy — pushed lookup join, CN hash join,
-// and the nested loop with pushdown disabled (the pure legacy oracle) —
+// and the nested loop with pushdown disabled (the oracle) —
 // and requires byte-identical results. The dataset is NULL-heavy on the
 // join columns (NULL never matches) and includes outer rows whose key
 // matches no inner row, the two classic join-bug magnets. This is the
@@ -56,8 +56,8 @@ func TestDifferentialJoinEngine(t *testing.T) {
 	}
 
 	// runAs executes sql under one strategy mode. The oracle disables
-	// pushdown entirely, which forces the nested loop — the legacy
-	// row-at-a-time path the engine must be indistinguishable from.
+	// pushdown entirely, which forces the nested loop — the row-at-a-time
+	// join the engine must be indistinguishable from.
 	runAs := func(sql, mode string, oracle bool) *Result {
 		t.Helper()
 		exec(t, s, "SET JOIN = "+mode)

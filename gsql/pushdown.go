@@ -93,14 +93,13 @@ func analyzePushdown(p *selectPlan) *pushPlan {
 
 // analyzeAggPushdown upgrades the fragment to DN-partial aggregation when
 // the whole plan qualifies: single table, fully pushed filter, plain
-// column GROUP BY, and only mergeable aggregates. Float group columns are
-// excluded: the CN groups by value (where -0 and +0 coincide) while group
-// keys are ordered bytes (where they differ), and the two must agree.
+// column GROUP BY, and only mergeable aggregates. DN group keys and CN-side
+// grouping share one key encoding, so float group columns group the same
+// way on either side.
 func analyzeAggPushdown(p *selectPlan, pp *pushPlan, residual []Expr) bool {
 	if !p.grouped || p.inner != nil || len(residual) > 0 {
 		return false
 	}
-	sch := p.outer.tab.schema
 	groupCols := make([]int, 0, len(p.groupBy))
 	groupSet := map[int]bool{}
 	for _, g := range p.groupBy {
@@ -110,9 +109,6 @@ func analyzeAggPushdown(p *selectPlan, pp *pushPlan, residual []Expr) bool {
 		}
 		ti, ci, err := resolveCol(cr, p.tables)
 		if err != nil || ti != 0 {
-			return false
-		}
-		if sch.Columns[ci].Kind == table.Float64 {
 			return false
 		}
 		groupCols = append(groupCols, ci)

@@ -6,6 +6,8 @@ import (
 	"fmt"
 
 	"globaldb"
+	"globaldb/internal/keys"
+	"globaldb/internal/obs"
 	"globaldb/internal/table"
 )
 
@@ -14,12 +16,14 @@ import (
 // driver) match it and fall back to Exec.
 var ErrNotSelect = errors.New("gsql: Query requires a SELECT statement")
 
-// Rows streams a SELECT's output rows. Rows wraps the volcano operator
-// pipeline directly: each Next pulls combined rows from the scans (which
-// fetch storage pages lazily) and projects them, so a consumer that stops
-// early never ships the rest of the table. Pipeline breakers — GROUP BY,
-// and ORDER BY the scan cannot satisfy — materialize their result up front
-// and then iterate it; everything else streams end to end.
+// Rows is a SELECT's output, the one consumer of the operator pipeline:
+// Query hands it to the caller, and Exec drains it into a Result. Rows
+// wraps the volcano pipeline directly: each Next pulls combined rows from
+// the scans (which fetch storage pages lazily) and projects them, so a
+// consumer that stops early never ships the rest of the table. Pipeline
+// breakers — GROUP BY, and ORDER BY the scan cannot satisfy — materialize
+// their result up front and then iterate it; everything else streams end
+// to end.
 //
 // A Rows must be Closed. Close also settles the autocommit read
 // transaction that backs an out-of-transaction primary read, so dropping a
@@ -28,10 +32,12 @@ type Rows struct {
 	ctx        context.Context
 	cols       []string
 	onReplicas bool
+	join       string // physical join strategy; empty for one table
 
 	// Streaming state: the batch-native pipeline below, with this Rows as
 	// the thin row adapter at the consumer edge (each Next steps through
-	// the current block; blocks are pulled on demand).
+	// the current block; blocks are pulled on demand). Projection,
+	// DISTINCT, OFFSET and LIMIT of streamed results happen here only.
 	bp      *boundPlan
 	it      blockIter
 	blk     *rowBlock
@@ -39,23 +45,23 @@ type Rows struct {
 	env     rowEnv
 	scr     [2]table.Row
 	seen    map[string]bool // DISTINCT filter
+	enc     keys.Encoder    // DISTINCT key scratch
 	skipped int64
 	yielded int64
 
-	// Materialized fallback (grouped or sorted results).
+	// Materialized result (grouped or sorted).
 	mat [][]any
 	mi  int
 
-	// Scan counters: totals accumulates as the pipeline's scans close
-	// (streaming path); matScan carries the already-final counters of a
-	// materialized result.
-	totals  *scanTotals
-	matScan globaldb.ScanStats
+	// totals accumulates the scan counters as the pipeline's scans close;
+	// a materialized result's are already final.
+	totals *scanTotals
 
 	row    []any
 	err    error
 	closed bool
-	finish func(ok bool) error // settles the backing read context; nil after run
+	finish func(ok bool) error // settles the backing read context
+	span   *obs.Span           // the execute span, ended by Close
 }
 
 // Columns names the output columns, available before the first Next.
@@ -65,17 +71,16 @@ func (r *Rows) Columns() []string { return r.cols }
 // replicas at the RCP rather than shard primaries.
 func (r *Rows) OnReplicas() bool { return r.onReplicas }
 
-// ScanStats reports the query's per-layer scan row counts — the same
-// counters Result.Scan carries on the materializing path. On a streaming
-// query the counters settle as the pipeline's scans close, so they are
-// final only after the Rows is drained or Closed; before that they report
-// the scans that have already finished.
-func (r *Rows) ScanStats() globaldb.ScanStats {
-	if r.totals != nil {
-		return r.totals.s
-	}
-	return r.matScan
-}
+// JoinStrategy names the physical join strategy a two-table query runs
+// with ("lookup-pushdown", "hash", "nested-loop"), the same name
+// Result.JoinStrategy carries; empty for single-table queries.
+func (r *Rows) JoinStrategy() string { return r.join }
+
+// ScanStats reports the query's per-layer scan row counts — the counters
+// Result.Scan carries. On a streaming query the counters settle as the
+// pipeline's scans close, so they are final only after the Rows is drained
+// or Closed; before that they report the scans that have already finished.
+func (r *Rows) ScanStats() globaldb.ScanStats { return r.totals.s }
 
 // Next advances to the following output row, returning false at the end of
 // the result or on error (check Err afterwards).
@@ -111,11 +116,15 @@ func (r *Rows) Next() bool {
 			return false
 		}
 		if r.seen != nil {
-			key := distinctKey(out)
-			if r.seen[key] {
+			key, err := distinctKey(&r.enc, out)
+			if err != nil {
+				r.err = err
+				return false
+			}
+			if r.seen[string(key)] {
 				continue
 			}
-			r.seen[key] = true
+			r.seen[string(key)] = true
 		}
 		if r.skipped < r.bp.offset {
 			r.skipped++
@@ -145,12 +154,35 @@ func (r *Rows) Close() error {
 	if r.it != nil {
 		r.it.Close()
 	}
+	var err error
 	if r.finish != nil {
-		f := r.finish
-		r.finish = nil
-		return f(r.err == nil)
+		err = r.finish(r.err == nil)
 	}
-	return nil
+	if r.join != "" {
+		r.span.Tag("join=%s", r.join)
+	}
+	r.span.End()
+	return err
+}
+
+// result drains the Rows into a Result and closes it.
+func (r *Rows) result() (*Result, error) {
+	res := &Result{Columns: r.cols, OnReplicas: r.onReplicas, JoinStrategy: r.join}
+	if r.it == nil { // hand a materialized result over without copying
+		res.Rows, r.mi = r.mat, len(r.mat)
+	}
+	for r.Next() {
+		res.Rows = append(res.Rows, r.row)
+	}
+	err := r.Close()
+	if r.err != nil {
+		err = r.err
+	}
+	if err != nil {
+		return nil, err
+	}
+	res.Scan = r.totals.s
+	return res, nil
 }
 
 // Query runs a SELECT and streams its output rows, binding args to the
@@ -161,6 +193,12 @@ func (s *Session) Query(ctx context.Context, sql string, args ...any) (*Rows, er
 	if err != nil {
 		return nil, err
 	}
+	return s.query(ctx, cs, args)
+}
+
+// query binds args to a parsed and planned SELECT and opens its Rows; the
+// body of Session.Query and Stmt.Query.
+func (s *Session) query(ctx context.Context, cs *preparedStatement, args []any) (*Rows, error) {
 	sel, ok := cs.stmt.(*Select)
 	if !ok {
 		return nil, fmt.Errorf("%w, have %T", ErrNotSelect, cs.stmt)
@@ -169,55 +207,57 @@ func (s *Session) Query(ctx context.Context, sql string, args ...any) (*Rows, er
 	if err != nil {
 		return nil, err
 	}
-	return s.queryRows(ctx, sel, cs.plan, params)
+	return s.openSelect(ctx, sel, cs.plan, params)
 }
 
-// queryRows opens the read context for a SELECT (session transaction,
-// autocommit primary read, or replica read) and hangs a streaming Rows off
-// the operator pipeline.
-func (s *Session) queryRows(ctx context.Context, sel *Select, plan *selectPlan, params []any) (*Rows, error) {
+// openSelect is the one way a SELECT executes, shared by Exec, Query and
+// their prepared forms: plan (unless a cached plan is supplied), bind with
+// the session's pushdown, join-strategy and row-estimate settings, open
+// the read context, and run. Inside an explicit transaction the query
+// reads from shard primaries at the transaction snapshot (and sees its own
+// writes). Outside a transaction it reads primaries at a fresh snapshot by
+// default; SET STALENESS or a per-statement AS OF STALENESS routes it to
+// asynchronous replicas at the RCP (read-on-replica). The plan, bind and
+// execute spans cover it; the execute span ends when the Rows closes.
+func (s *Session) openSelect(ctx context.Context, sel *Select, plan *selectPlan, params []any) (*Rows, error) {
+	// root is nil when tracing is off; every span call below is then a
+	// no-op pointer compare, keeping the hot path allocation-free.
+	root := s.curTrace.Root()
+	planSp := root.Child("plan")
 	if plan == nil {
 		var err error
 		if plan, err = planSelect(s, sel); err != nil {
 			return nil, err
 		}
+	} else {
+		planSp.Tag("cached")
 	}
+	planSp.End()
+	bindSp := root.Child("bind")
 	bp, err := plan.bind(params)
+	bindSp.End()
 	if err != nil {
 		return nil, err
 	}
 	bp.noPushdown = s.pushdownOff
-
+	bp.joinMode = s.joinMode
+	bp.rowEst = s.db.RowEstimate
+	execSp := root.Child("execute")
+	// The span rides the context into the scan cursors' prefetch
+	// goroutines (per-shard scan-page spans) and the autocommit
+	// transaction's commit fan-out.
+	ctx = obs.WithSpan(ctx, execSp)
 	r, onReplicas, finish, err := s.openReadContext(ctx, sel)
 	if err != nil {
+		execSp.End()
 		return nil, err
 	}
-	if bp.grouped || (len(bp.orderBy) > 0 && !scanSatisfiesOrder(bp.selectPlan)) {
-		// Pipeline breaker: run to completion (through the DN-partial
-		// aggregate path when the plan pushes down), then iterate the
-		// materialized result.
-		res, err := execSelect(ctx, r, bp)
-		ferr := finish(err == nil)
-		if err != nil {
-			return nil, err
-		}
-		if ferr != nil {
-			return nil, ferr
-		}
-		return &Rows{cols: res.Columns, onReplicas: onReplicas, mat: res.Rows, matScan: res.Scan}, nil
-	}
-	it, _, totals, err := buildPipeline(ctx, r, bp)
+	rows, err := runSelect(ctx, r, bp)
 	if err != nil {
-		_ = finish(false)
+		_ = finish(false) // the query already failed; err is what the caller reports
+		execSp.End()
 		return nil, err
 	}
-	rows := &Rows{
-		ctx: ctx, cols: bp.outCols, onReplicas: onReplicas,
-		bp: bp, it: it, totals: totals, finish: finish,
-		env: rowEnv{tables: bp.tables, params: bp.params},
-	}
-	if bp.distinct {
-		rows.seen = make(map[string]bool)
-	}
+	rows.onReplicas, rows.finish, rows.span = onReplicas, finish, execSp
 	return rows, nil
 }

@@ -80,13 +80,5 @@ func (st *Stmt) Query(ctx context.Context, args ...any) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	params, err := bindArgs(cs.numParams, args)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := cs.stmt.(*Select)
-	if !ok {
-		return nil, fmt.Errorf("%w, have %T", ErrNotSelect, cs.stmt)
-	}
-	return st.sess.queryRows(ctx, sel, cs.plan, params)
+	return st.sess.query(ctx, cs, args)
 }

@@ -350,18 +350,6 @@ func (t *Txn) Get(ctx context.Context, shard int, key []byte) ([]byte, bool, err
 	return t.cn.client.Read(ctx, t.cn.routing.Primary(shard), key, t.ts.Snap, t.id)
 }
 
-// Scan range-scans a shard primary at the transaction's snapshot.
-func (t *Txn) Scan(ctx context.Context, shard int, start, end []byte, limit int) ([]mvcc.KV, error) {
-	if t.done.Load() {
-		return nil, ErrTxnDone
-	}
-	t.cn.primaryReads.Add(1)
-	if tr := t.cn.placement; tr != nil {
-		tr.RecordRead(shard, t.cn.region)
-	}
-	return t.cn.client.Scan(ctx, t.cn.routing.Primary(shard), start, end, t.ts.Snap, limit, t.id)
-}
-
 // Commit finishes the transaction: the single-shard fast path writes
 // PENDING COMMIT then COMMIT; the multi-shard path runs two-phase commit.
 // The commit wait completes before Commit returns (external consistency).

@@ -22,27 +22,21 @@ func pagesCursor(pages [][]mvcc.KV) *ScanCursor {
 
 func kv(key string) mvcc.KV { return mvcc.KV{Key: []byte(key), Value: []byte("v" + key)} }
 
-// TestRowViewAdapters pins the row-at-a-time faces of the batch pipeline:
-// ScanCursor's native Next/KV (interleaved with NextBatch, which must pick
-// up exactly where the row view stopped) and AsKVCursor over a merged
-// stream, which must yield the same global key order row by row.
-func TestRowViewAdapters(t *testing.T) {
+// TestMergedBatchOrder pins the batch faces of the scan pipeline: a
+// ScanCursor hands each page upward as one batch and ends cleanly, and a
+// merged stream over interleaving shard cursors yields the global key
+// order.
+func TestMergedBatchOrder(t *testing.T) {
 	ctx := context.Background()
 
-	c := pagesCursor([][]mvcc.KV{{kv("a"), kv("b"), kv("c")}, {kv("d")}})
-	if !c.Next(ctx) || string(c.KV().Key) != "a" {
-		t.Fatalf("row view: first key = %q", c.KV().Key)
+	c := pagesCursor([][]mvcc.KV{{kv("a"), kv("b"), kv("c")}, {}, {kv("d")}})
+	if !c.NextBatch(ctx) || len(c.Batch()) != 3 || string(c.Batch()[0].Key) != "a" {
+		t.Fatalf("first batch = %v", c.Batch())
 	}
-	if !c.NextBatch(ctx) {
-		t.Fatal("NextBatch after Next failed")
+	if !c.NextBatch(ctx) || len(c.Batch()) != 1 || string(c.Batch()[0].Key) != "d" {
+		t.Fatalf("second batch skips the empty page: got %v", c.Batch())
 	}
-	if got := c.Batch(); len(got) != 2 || string(got[0].Key) != "b" {
-		t.Fatalf("batch after one row = %v", got)
-	}
-	if !c.Next(ctx) || string(c.KV().Key) != "d" {
-		t.Fatalf("row after batch = %q", c.KV().Key)
-	}
-	if c.Next(ctx) || c.Err() != nil {
+	if c.NextBatch(ctx) || c.Err() != nil {
 		t.Fatalf("expected clean end, err=%v", c.Err())
 	}
 
@@ -50,17 +44,18 @@ func TestRowViewAdapters(t *testing.T) {
 		pagesCursor([][]mvcc.KV{{kv("a"), kv("c"), kv("e")}}),
 		pagesCursor([][]mvcc.KV{{kv("b"), kv("d")}, {kv("f")}}),
 	)
-	rowView := AsKVCursor(merged)
 	var got []string
-	for rowView.Next(ctx) {
-		got = append(got, string(rowView.KV().Key))
+	for merged.NextBatch(ctx) {
+		for _, kv := range merged.Batch() {
+			got = append(got, string(kv.Key))
+		}
 	}
-	if rowView.Err() != nil {
-		t.Fatal(rowView.Err())
+	if merged.Err() != nil {
+		t.Fatal(merged.Err())
 	}
 	want := []string{"a", "b", "c", "d", "e", "f"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("merged row view = %v, want %v", got, want)
+		t.Fatalf("merged batches = %v, want %v", got, want)
 	}
 }
 

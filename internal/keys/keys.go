@@ -60,15 +60,23 @@ func (e *Encoder) Int64(v int64) *Encoder {
 	return e.Uint64(uint64(v) ^ (1 << 63))
 }
 
-// Float64 appends a float with total ordering (-Inf < ... < -0 = 0 < ... <
-// +Inf; NaN sorts first). IEEE 754 bits order correctly once negative
+// Float64 appends a float with total ordering (NaN < -Inf < ... < -0 = 0 <
+// ... < +Inf). The encoding is the one definition of float equality: -0
+// encodes as +0 and every NaN as one canonical key, so values SQL treats
+// as equal get equal keys. IEEE 754 bits order correctly once negative
 // numbers have all bits flipped and positive ones have the sign bit set.
 func (e *Encoder) Float64(v float64) *Encoder {
-	bits := math.Float64bits(v)
-	if bits&(1<<63) != 0 {
-		bits = ^bits
-	} else {
-		bits |= 1 << 63
+	var bits uint64 // NaN: all-zero, below every number
+	if v == v {
+		if v == 0 {
+			v = 0 // -0 becomes +0
+		}
+		bits = math.Float64bits(v)
+		if bits&(1<<63) != 0 {
+			bits = ^bits
+		} else {
+			bits |= 1 << 63
+		}
 	}
 	e.buf = append(e.buf, tagFloat)
 	var b [8]byte

@@ -72,7 +72,7 @@ func TestFloat64OrderProperty(t *testing.T) {
 		case a > b:
 			return cmp > 0
 		default:
-			return cmp == 0 || a == 0 && b == 0 // -0 and +0 encode distinctly
+			return cmp == 0 // equal values, -0 and +0 included, encode equally
 		}
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -92,6 +92,31 @@ func TestFloat64Specials(t *testing.T) {
 		if err != nil || got != v {
 			t.Fatalf("round trip %g: got %g err %v", v, got, err)
 		}
+	}
+}
+
+// TestFloat64CanonicalZeroAndNaN pins the encoding as the definition of
+// float equality: -0 encodes (and decodes) as +0, and every NaN payload
+// encodes as one key that sorts below -Inf.
+func TestFloat64CanonicalZeroAndNaN(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	if !bytes.Equal(encFloat(negZero), encFloat(0)) {
+		t.Fatalf("-0 encodes as %x, +0 as %x", encFloat(negZero), encFloat(0))
+	}
+	if got, err := NewDecoder(encFloat(negZero)).Float64(); err != nil || math.Signbit(got) {
+		t.Fatalf("-0 decodes as %g (signbit %v), err %v", got, math.Signbit(got), err)
+	}
+	nans := []float64{math.NaN(), -math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8000000000123)}
+	for _, n := range nans[1:] {
+		if !bytes.Equal(encFloat(n), encFloat(nans[0])) {
+			t.Fatalf("NaN %x encodes as %x, want %x", math.Float64bits(n), encFloat(n), encFloat(nans[0]))
+		}
+	}
+	if bytes.Compare(encFloat(math.NaN()), encFloat(math.Inf(-1))) >= 0 {
+		t.Fatal("NaN must sort before -Inf")
+	}
+	if got, err := NewDecoder(encFloat(math.NaN())).Float64(); err != nil || !math.IsNaN(got) {
+		t.Fatalf("NaN decodes as %g, err %v", got, err)
 	}
 }
 

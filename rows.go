@@ -299,7 +299,8 @@ func (r *Rows) Close() error {
 	return nil
 }
 
-// drainRows materializes an iterator — the legacy scan methods' shape.
+// drainRows materializes an iterator — the shape of the materializing
+// ScanPK/ScanIndex/ScanTable wrappers.
 func drainRows(r *Rows) ([]Row, error) {
 	defer r.Close()
 	out := make([]Row, 0, 16)
@@ -533,8 +534,8 @@ func (tx *Tx) ScanIndexRows(ctx context.Context, tableName, indexName string, pr
 }
 
 // ScanTableRows streams every row of a table, merging per-shard paged
-// cursors so rows arrive in global primary-key order (unlike the legacy
-// ScanTable, which concatenates shards).
+// cursors so rows arrive in global primary-key order (unlike the
+// materializing ScanTable, which concatenates shards).
 func (tx *Tx) ScanTableRows(ctx context.Context, tableName string, o ScanOpts) (*Rows, error) {
 	return tx.tableRows(ctx, tableName, o, true)
 }
