@@ -189,3 +189,70 @@ func TestAllocBudgetJoin(t *testing.T) {
 		t.Fatalf("hash join allocated %.0f times vs nested loop's %.0f — the >=2x reduction claim no longer holds", hash, nestLoop)
 	}
 }
+
+// allocBudgetCNEvalMax is the hard ceiling on allocations for one warm
+// filtered GROUP BY over allocBudgetRows rows with pushdown disabled, so
+// the residual filter, the group keys and the aggregates all evaluate on
+// the computing node. Measured 988 with the AST interpreter this gate was
+// introduced against; the budget carries ~100% headroom over that, like
+// its sibling budgets.
+const allocBudgetCNEvalMax = 2000
+
+// TestAllocBudgetCNEval gates the warm computing-node evaluation path:
+// filter, GROUP BY keys, aggregate folds, HAVING and outputs, all compiled
+// to fragment expressions and evaluated on the CN.
+func TestAllocBudgetCNEval(t *testing.T) {
+	cfg := globaldb.OneRegion(0)
+	cfg.TimeScale = 0.02
+	cfg.Shards = 2
+	db, err := globaldb.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s, err := gsql.Connect(db, cfg.Regions[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := s.Exec(ctx, `CREATE TABLE items (
+		w_id BIGINT, i_id BIGINT, qty BIGINT, tag TEXT,
+		PRIMARY KEY (w_id, i_id)
+	) SHARD BY w_id`); err != nil {
+		t.Fatal(err)
+	}
+	perWarehouse := allocBudgetRows / 4
+	for w := 1; w <= 4; w++ {
+		var vals []string
+		for i := 1; i <= perWarehouse; i++ {
+			vals = append(vals, fmt.Sprintf("(%d, %d, %d, 't%d')", w, i, (i*7)%100, i%5))
+		}
+		if _, err := s.Exec(ctx, "INSERT INTO items VALUES "+strings.Join(vals, ", ")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.SetPushdown(false)
+
+	const query = "SELECT tag, COUNT(*), SUM(qty), MAX(qty + 1) FROM items WHERE qty >= 50 AND tag <> 't0' GROUP BY tag HAVING COUNT(*) > 1"
+	run := func() {
+		res, err := s.Exec(ctx, query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 4 {
+			t.Fatalf("rows = %d, want 4", len(res.Rows))
+		}
+	}
+	run() // warm the plan cache, cursors and arenas
+
+	best := float64(1 << 60)
+	for i := 0; i < 5; i++ {
+		if n := testing.AllocsPerRun(1, run); n < best {
+			best = n
+		}
+	}
+	t.Logf("warm CN-side filtered GROUP BY: %.0f allocs/op (budget %d)", best, allocBudgetCNEvalMax)
+	if best > allocBudgetCNEvalMax {
+		t.Fatalf("warm CN evaluation path allocated %.0f times, budget is %d", best, allocBudgetCNEvalMax)
+	}
+}

@@ -10,15 +10,17 @@ import (
 // statements collapse whole workloads onto a handful of entries.
 const defaultPlanCacheCap = 256
 
-// preparedStatement is one parsed (and, for SELECT, planned) statement.
-// version records the catalog DDL version the plan was built against; a
-// mismatch at lookup time forces a replan, so cached plans never outlive a
-// CREATE/DROP that could have changed the schemas they reference.
+// preparedStatement is one parsed (and, for SELECT, UPDATE and DELETE,
+// planned) statement. version records the catalog DDL version the plan was
+// built against; a mismatch at lookup time forces a replan, so cached
+// plans never outlive a CREATE/DROP that could have changed the schemas
+// they reference.
 type preparedStatement struct {
 	text      string
 	stmt      Statement
 	numParams int
 	plan      *selectPlan // non-nil for SELECT
+	write     *writePlan  // non-nil for UPDATE and DELETE
 	version   uint64      // catalog DDL version at plan time
 }
 
@@ -95,17 +97,22 @@ func (s *Session) cachedStatement(sql string) (*preparedStatement, error) {
 	return cs, nil
 }
 
-// prepareText parses sql and plans it when it is a SELECT.
+// prepareText parses sql and plans it when it is a SELECT, UPDATE or
+// DELETE.
 func (s *Session) prepareText(sql string, version uint64) (*preparedStatement, error) {
 	stmt, err := Parse(sql)
 	if err != nil {
 		return nil, err
 	}
 	cs := &preparedStatement{text: sql, stmt: stmt, numParams: CountParams(stmt), version: version}
-	if sel, ok := stmt.(*Select); ok {
-		if cs.plan, err = planSelect(s, sel); err != nil {
-			return nil, err
-		}
+	switch st := stmt.(type) {
+	case *Select:
+		cs.plan, err = planSelect(s, st)
+	case *Update, *Delete:
+		cs.write, err = planWrite(s, st)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return cs, nil
 }

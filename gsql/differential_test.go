@@ -94,11 +94,13 @@ func TestDifferentialAccessPaths(t *testing.T) {
 // (execSelectMaterialized, oracle_test.go) and requires identical
 // results. The query generator covers every access path the planner can
 // pick, pushed range bounds, residual filters, joins, aggregates, DISTINCT,
-// ORDER BY, LIMIT and OFFSET — the full surface the refactor touched.
+// ORDER BY, LIMIT and OFFSET — the full surface the refactor touched —
+// plus a DOUBLE column holding both zeros, compared and grouped against
+// BIGINT and DOUBLE values.
 func TestDifferentialStreamingVsMaterializing(t *testing.T) {
 	s := openSQL(t)
 	exec(t, s, `CREATE TABLE stock (
-		w_id BIGINT, i_id BIGINT, grp BIGINT, qty BIGINT, tag TEXT,
+		w_id BIGINT, i_id BIGINT, grp BIGINT, qty BIGINT, tag TEXT, wt DOUBLE,
 		PRIMARY KEY (w_id, i_id),
 		INDEX stock_grp (w_id, grp)
 	) SHARD BY w_id`)
@@ -109,8 +111,8 @@ func TestDifferentialStreamingVsMaterializing(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for w := int64(1); w <= 4; w++ {
 		for i := int64(1); i <= 40; i++ {
-			exec(t, s, fmt.Sprintf("INSERT INTO stock VALUES (%d, %d, %d, %d, 't%d')",
-				w, i, rng.Int63n(6), rng.Int63n(200), rng.Int63n(4)))
+			exec(t, s, fmt.Sprintf("INSERT INTO stock VALUES (%d, %d, %d, %d, 't%d', %s)",
+				w, i, rng.Int63n(6), rng.Int63n(200), rng.Int63n(4), doubles[rng.Intn(len(doubles))]))
 		}
 		for sid := int64(1); sid <= 6; sid++ {
 			exec(t, s, fmt.Sprintf("INSERT INTO supplier VALUES (%d, %d, %d)", w, sid, rng.Int63n(10)))
@@ -170,13 +172,14 @@ func TestDifferentialStreamingVsMaterializing(t *testing.T) {
 		}
 	}
 
-	for trial := 0; trial < 80; trial++ {
+	for trial := 0; trial < 96; trial++ {
 		w := 1 + rng.Int63n(4)
 		lo := 1 + rng.Int63n(35)
 		hi := lo + rng.Int63n(10)
 		q := rng.Int63n(200)
 		g := rng.Int63n(6)
-		switch trial % 10 {
+		d := doubles[rng.Intn(len(doubles))]
+		switch trial % 12 {
 		case 0: // PK range pushdown, both bounds
 			runBoth(fmt.Sprintf("SELECT * FROM stock WHERE w_id = %d AND i_id > %d AND i_id <= %d", w, lo, hi), false)
 		case 1: // PK range + residual filter
@@ -199,6 +202,10 @@ func TestDifferentialStreamingVsMaterializing(t *testing.T) {
 				ON st.w_id = sp.w_id WHERE sp.w_id = %d AND st.i_id > %d AND sp.s_id = %d`, w, lo, 1+rng.Int63n(6)), false)
 		case 9: // DISTINCT streaming dedup
 			runBoth(fmt.Sprintf("SELECT DISTINCT grp FROM stock WHERE w_id = %d AND i_id > %d", w, lo), false)
+		case 10: // zeros and mixed BIGINT/DOUBLE comparisons in the filter
+			runBoth(fmt.Sprintf("SELECT i_id, wt, -wt FROM stock WHERE (wt = 0 OR wt = %s OR qty = %d.0) AND i_id > %d", d, q, lo), false)
+		case 11: // grouping a DOUBLE column holding both zeros, mixed arithmetic
+			runBoth(fmt.Sprintf("SELECT wt, COUNT(*), SUM(qty + wt), MIN(-wt) FROM stock WHERE qty >= %d GROUP BY wt ORDER BY wt", q), true)
 		}
 	}
 }
@@ -209,7 +216,9 @@ func TestDifferentialStreamingVsMaterializing(t *testing.T) {
 // byte-for-byte identical results. This is the correctness contract of the
 // distributed execution split: the fragment evaluator on the data nodes
 // and the partial-state merge must be indistinguishable from evaluating
-// everything at the computing node.
+// everything at the computing node. The DOUBLE column ratio holds both
+// zeros, and the generator compares it with BIGINT values (and BIGINT
+// columns with DOUBLE values).
 func TestDifferentialPushdownVsCNSide(t *testing.T) {
 	s := openSQL(t)
 	exec(t, s, `CREATE TABLE push (
@@ -227,8 +236,12 @@ func TestDifferentialPushdownVsCNSide(t *testing.T) {
 			if rng.Int63n(15) == 0 {
 				tag = "NULL"
 			}
-			exec(t, s, fmt.Sprintf("INSERT INTO push VALUES (%d, %d, %d, %s, %g, %s)",
-				w, i, rng.Int63n(5), qty, float64(i)/7, tag))
+			ratio := fmt.Sprint(float64(i) / 7)
+			if rng.Int63n(6) == 0 {
+				ratio = doubles[rng.Intn(len(doubles))]
+			}
+			exec(t, s, fmt.Sprintf("INSERT INTO push VALUES (%d, %d, %d, %s, %s, %s)",
+				w, i, rng.Int63n(5), qty, ratio, tag))
 		}
 	}
 
@@ -287,12 +300,13 @@ func TestDifferentialPushdownVsCNSide(t *testing.T) {
 		}
 	}
 
-	for trial := 0; trial < 120; trial++ {
+	for trial := 0; trial < 150; trial++ {
 		w := 1 + rng.Int63n(4)
 		q := rng.Int63n(100)
 		g := rng.Int63n(5)
 		lo := 1 + rng.Int63n(50)
-		switch trial % 12 {
+		d := doubles[rng.Intn(len(doubles))]
+		switch trial % 15 {
 		case 0: // plain comparison filter over a full scan
 			runBoth(fmt.Sprintf("SELECT * FROM push WHERE qty >= %d", q), false, true)
 		case 1: // conjunction with LIKE and a PK-prefix scan
@@ -317,6 +331,12 @@ func TestDifferentialPushdownVsCNSide(t *testing.T) {
 			runBoth(fmt.Sprintf("SELECT i_id FROM push WHERE ratio > %g AND qty <> %d", float64(lo)/9, q), false, true)
 		case 11: // empty result: zero-row global aggregate must agree
 			runBoth("SELECT COUNT(*), SUM(qty) FROM push WHERE qty > 1000", true, true)
+		case 12: // zeros and mixed BIGINT/DOUBLE equality on both evaluators
+			runBoth(fmt.Sprintf("SELECT i_id, ratio, -ratio FROM push WHERE ratio = 0 OR ratio = %s OR qty = %d.0", d, q), false, true)
+		case 13: // grouping on a DOUBLE column holding both zeros
+			runBoth(fmt.Sprintf("SELECT ratio, COUNT(*), MIN(-ratio), MAX(qty * 1.0) FROM push WHERE ratio <= %s OR ratio < 1 GROUP BY ratio ORDER BY ratio", d), true, true)
+		case 14: // mixed arithmetic, BETWEEN and IN across BIGINT and DOUBLE
+			runBoth(fmt.Sprintf("SELECT i_id, qty + ratio FROM push WHERE qty BETWEEN %d.5 AND %d AND ratio IN (0, %s, 1.5)", q/2, q, d), false, true)
 		}
 	}
 
@@ -341,8 +361,9 @@ func TestDifferentialPushdownVsCNSide(t *testing.T) {
 		if got := p.push != nil && p.push.agg; got != tc.pushAgg {
 			t.Fatalf("%q: aggregation pushed = %v, want %v", tc.sql, got, tc.pushAgg)
 		}
-		// wantPush=false: ratio is unique within each shard, so the pushed
-		// GROUP BY legitimately ships one partial row per storage row.
+		// wantPush=false: ratio is nearly unique within each shard, so the
+		// pushed GROUP BY legitimately ships about one partial row per
+		// storage row.
 		runBoth(tc.sql, false, false)
 	}
 }
@@ -376,6 +397,10 @@ func TestExplainShowsPushdownSplit(t *testing.T) {
 		}
 	}
 }
+
+// doubles are DOUBLE literals for the generators: both zeros, values that
+// equal BIGINTs, and binary fractions, whose sums are exact in any order.
+var doubles = []string{"0.0", "-0.0", "0", "3", "0.5", "1.5", "2.25", "3.0"}
 
 func rowStrings(rows [][]any) []string {
 	out := make([]string, len(rows))

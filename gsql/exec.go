@@ -27,33 +27,6 @@ var (
 	_ reader = (*globaldb.Query)(nil)
 )
 
-// rowEnv is the evaluation environment for one combined row (one row per
-// FROM table; the inner row is nil while planning inner lookups) plus the
-// statement's bound parameter values.
-type rowEnv struct {
-	tables []*boundTable
-	rows   []table.Row
-	params []any
-}
-
-func (e *rowEnv) colValue(ref *ColRef) (any, error) {
-	ti, ci, err := resolveCol(ref, e.tables)
-	if err != nil {
-		return nil, err
-	}
-	if ti >= len(e.rows) || e.rows[ti] == nil {
-		return nil, fmt.Errorf("gsql: column %s references a row that is not bound yet", ref)
-	}
-	return e.rows[ti][ci], nil
-}
-
-func (e *rowEnv) paramValue(idx int) (any, error) {
-	if idx < 1 || idx > len(e.params) {
-		return nil, fmt.Errorf("gsql: statement references parameter $%d but %d were bound", idx, len(e.params))
-	}
-	return e.params[idx-1], nil
-}
-
 // runSelect executes a bound SELECT against a reader and returns its output
 // as Rows. Plans with a pushed aggregation run DN-partial/CN-final: data
 // nodes fold matching rows into per-group partial states and the CN merges
@@ -84,8 +57,7 @@ func runSelect(ctx context.Context, r reader, p *boundPlan) (*Rows, error) {
 		rows.join = p.chosenJoin.String()
 	}
 	if !p.grouped && (len(p.orderBy) == 0 || orderDone) {
-		rows.bp, rows.it = p, it
-		rows.env = rowEnv{tables: p.tables, params: p.params}
+		rows.bp, rows.it, rows.scr = p, it, p.newScratch()
 		if p.distinct {
 			rows.seen = make(map[string]bool)
 		}
@@ -102,12 +74,12 @@ func runSelect(ctx context.Context, r reader, p *boundPlan) (*Rows, error) {
 
 // execPushedAgg runs a grouped SELECT with DN-partial aggregation: each
 // shard ships one pre-merged partial state row per group, the coordinator
-// merge combines equal groups across shards, and this function finalizes
-// the states into SQL aggregate values, then applies HAVING, output
-// expressions, ORDER BY and LIMIT exactly as CN-side aggregation would.
-// The scan's counters accumulate into totals. ok=false means the fragment
-// could not be bound for this execution and the caller should fall back to
-// the CN-side path.
+// merge combines equal groups across shards, and this function turns each
+// merged row into a group row — a representative row rebuilt from the
+// group key, then the finalized aggregate values — and hands them to the
+// CN-final phase CN-side aggregation shares. The scan's counters
+// accumulate into totals. ok=false means the fragment could not be bound
+// for this execution and the caller should fall back to the CN-side path.
 func execPushedAgg(ctx context.Context, r reader, p *boundPlan, totals *scanTotals) (res *Result, ok bool, err error) {
 	pp := p.push
 	bf, err := pp.frag.Bind(p.params)
@@ -120,30 +92,26 @@ func execPushedAgg(ctx context.Context, r reader, p *boundPlan, totals *scanTota
 	}
 	defer it.Close()
 
-	sch := p.outer.tab.schema
 	ngroup := len(pp.groupCols)
-	var groups []finishedGroup
+	var groups []table.Row
 	blk, err := it.NextBlock(ctx)
 	for ; blk != nil; blk, err = it.NextBlock(ctx) {
 		for _, row := range blk.tabs[0] {
 			if len(row) != ngroup+len(p.aggs) {
 				return nil, true, fmt.Errorf("gsql: partial aggregate row has %d values, want %d", len(row), ngroup+len(p.aggs))
 			}
-			// Rebuild a representative row from the group key so group-column
-			// references in outputs, HAVING and ORDER BY resolve.
-			rep := make(table.Row, len(sch.Columns))
+			gr := make(table.Row, p.width, p.width+len(p.aggs))
 			for i, ci := range pp.groupCols {
-				rep[ci] = row[i]
+				gr[ci] = row[i]
 			}
-			vals := make(map[string]any, len(p.aggs))
-			for i := range p.aggs {
+			for i, a := range p.cn.aggs {
 				st, isState := row[ngroup+i].(fragment.AggState)
 				if !isState {
 					return nil, true, fmt.Errorf("gsql: partial aggregate slot %d holds %T", i, row[ngroup+i])
 				}
-				vals[p.aggKeys[i]] = st.Final(pp.frag.Aggs[i].Kind)
+				gr = append(gr, st.Final(a.spec.Kind))
 			}
-			groups = append(groups, finishedGroup{rep: []table.Row{rep}, vals: vals})
+			groups = append(groups, gr)
 		}
 	}
 	if err != nil {
@@ -152,11 +120,7 @@ func execPushedAgg(ctx context.Context, r reader, p *boundPlan, totals *scanTota
 	// A global aggregate over zero rows still yields one output row, with
 	// the same empty-state results as CN-side aggregation.
 	if len(groups) == 0 && len(p.groupBy) == 0 {
-		vals := make(map[string]any, len(p.aggs))
-		for i, fn := range p.aggs {
-			vals[p.aggKeys[i]] = newAggState(fn).result()
-		}
-		groups = append(groups, finishedGroup{rep: nil, vals: vals})
+		groups = append(groups, emptyGroupRow(p))
 	}
 	res, err = finishAggGroups(p, groups)
 	return res, true, err
@@ -172,8 +136,7 @@ func finishSelect(ctx context.Context, p *boundPlan, it blockIter) (*Result, err
 		return aggregateRows(ctx, p, it)
 	}
 	out := &Result{Columns: p.outCols}
-	env := rowEnv{tables: p.tables, params: p.params}
-	var scr [2]table.Row
+	scr := p.newScratch()
 	// ORDER BY: with a LIMIT (and no DISTINCT, which dedups after the
 	// sort), keep only the top limit+offset rows in a bounded heap —
 	// O(N log k) comparisons and O(k) memory instead of materializing and
@@ -192,15 +155,15 @@ func finishSelect(ctx context.Context, p *boundPlan, it blockIter) (*Result, err
 				break
 			}
 			for i, n := 0, blk.n(); i < n; i++ {
-				env.rows = blk.row(i, scr[:])
-				keys, admit, err := top.tryAdmitKeys(&env)
+				row := blk.row(i, scr)
+				keys, admit, err := top.tryAdmitKeys(p.cn.order, row)
 				if err != nil {
 					return nil, err
 				}
 				if !admit {
 					continue
 				}
-				outRow, err := projectEnv(p, &env)
+				outRow, err := evalRow(p.cn.outs, row)
 				if err != nil {
 					return nil, err
 				}
@@ -233,20 +196,16 @@ func finishSelect(ctx context.Context, p *boundPlan, it blockIter) (*Result, err
 			break
 		}
 		for i, n := 0, blk.n(); i < n; i++ {
-			env.rows = blk.row(i, scr[:])
-			outRow, err := projectEnv(p, &env)
+			row := blk.row(i, scr)
+			outRow, err := evalRow(p.cn.outs, row)
+			if err != nil {
+				return nil, err
+			}
+			keys, err := evalRow(p.cn.order, row)
 			if err != nil {
 				return nil, err
 			}
 			out.Rows = append(out.Rows, outRow)
-			keys := make([]any, len(p.orderBy))
-			for i, o := range p.orderBy {
-				v, err := evalExpr(o.Expr, &env)
-				if err != nil {
-					return nil, err
-				}
-				keys[i] = v
-			}
 			sortKeys = append(sortKeys, keys)
 		}
 	}
@@ -254,22 +213,6 @@ func finishSelect(ctx context.Context, p *boundPlan, it blockIter) (*Result, err
 		return nil, err
 	}
 	return out, nil
-}
-
-// projectEnv evaluates the output expressions over the environment's
-// current combined row. The environment is reused across rows; only the
-// output row is freshly allocated (it outlives the pipeline in the
-// Result).
-func projectEnv(p *boundPlan, env *rowEnv) ([]any, error) {
-	outRow := make([]any, len(p.outExprs))
-	for i, e := range p.outExprs {
-		v, err := evalExpr(e, env)
-		if err != nil {
-			return nil, err
-		}
-		outRow[i] = v
-	}
-	return outRow, nil
 }
 
 func findIndex(sch *table.Schema, name string) (table.Index, error) {
@@ -337,217 +280,27 @@ func coerceValue(sch *table.Schema, col int, v any) (any, error) {
 
 // ---- Aggregation ----
 
-// aggState accumulates one aggregate function over a group.
-type aggState struct {
-	fn       *FuncExpr
-	count    int64
-	sumI     int64
-	sumF     float64
-	isFloat  bool
-	min, max any
-	distinct map[string]bool
-	enc      keys.Encoder // distinctKey scratch
-}
-
-func newAggState(fn *FuncExpr) *aggState {
-	st := &aggState{fn: fn}
-	if fn.Distinct {
-		st.distinct = make(map[string]bool)
-	}
-	return st
-}
-
-func (st *aggState) add(env evalEnv) error {
-	if len(st.fn.Args) == 1 {
-		if _, isStar := st.fn.Args[0].(*Star); isStar {
-			if st.fn.Name != "COUNT" {
-				return fmt.Errorf("gsql: %s(*) is not valid", st.fn.Name)
-			}
-			st.count++
-			return nil
-		}
-	}
-	if len(st.fn.Args) != 1 {
-		return fmt.Errorf("gsql: %s takes one argument", st.fn.Name)
-	}
-	v, err := evalExpr(st.fn.Args[0], env)
-	if err != nil {
-		return err
-	}
-	if v == nil {
-		return nil // SQL aggregates skip NULLs
-	}
-	if st.distinct != nil {
-		key, err := distinctKey(&st.enc, []any{v})
-		if err != nil {
-			return err
-		}
-		if st.distinct[string(key)] {
-			return nil
-		}
-		st.distinct[string(key)] = true
-	}
-	st.count++
-	switch st.fn.Name {
-	case "COUNT":
-		return nil
-	case "SUM", "AVG":
-		switch x := v.(type) {
-		case int64:
-			st.sumI += x
-			st.sumF += float64(x)
-		case float64:
-			st.isFloat = true
-			st.sumF += x
-		default:
-			return fmt.Errorf("%w: %s(%T)", ErrType, st.fn.Name, v)
-		}
-		return nil
-	case "MIN":
-		if st.min == nil {
-			st.min = v
-			return nil
-		}
-		c, err := compare(v, st.min)
-		if err != nil {
-			return err
-		}
-		if c < 0 {
-			st.min = v
-		}
-		return nil
-	case "MAX":
-		if st.max == nil {
-			st.max = v
-			return nil
-		}
-		c, err := compare(v, st.max)
-		if err != nil {
-			return err
-		}
-		if c > 0 {
-			st.max = v
-		}
-		return nil
-	default:
-		return fmt.Errorf("gsql: unknown aggregate %q", st.fn.Name)
-	}
-}
-
-func (st *aggState) result() any {
-	switch st.fn.Name {
-	case "COUNT":
-		return st.count
-	case "SUM":
-		if st.count == 0 {
-			return nil
-		}
-		if st.isFloat {
-			return st.sumF
-		}
-		return st.sumI
-	case "AVG":
-		if st.count == 0 {
-			return nil
-		}
-		return st.sumF / float64(st.count)
-	case "MIN":
-		return st.min
-	case "MAX":
-		return st.max
-	default:
-		return nil
-	}
-}
-
-// aggEnv evaluates final expressions with aggregate slots substituted and
-// group keys resolvable through a representative row.
-type aggEnv struct {
-	base *rowEnv
-	vals map[string]any // FuncExpr.String() -> aggregate result
-}
-
-func (e *aggEnv) colValue(ref *ColRef) (any, error) { return e.base.colValue(ref) }
-func (e *aggEnv) paramValue(idx int) (any, error)   { return e.base.paramValue(idx) }
-
-// evalWithAggs evaluates e, substituting aggregate results.
-func evalWithAggs(e Expr, env *aggEnv) (any, error) {
-	if f, ok := e.(*FuncExpr); ok && aggregateFuncs[f.Name] {
-		v, ok := env.vals[f.String()]
-		if !ok {
-			return nil, fmt.Errorf("gsql: aggregate %s has no computed slot", f)
-		}
-		return v, nil
-	}
-	switch x := e.(type) {
-	case *BinaryExpr:
-		if x.Op == "AND" || x.Op == "OR" {
-			// Rebuild with substituted children; cheap and correct.
-			lv, err := evalWithAggs(x.Left, env)
-			if err != nil {
-				return nil, err
-			}
-			rv, err := evalWithAggs(x.Right, env)
-			if err != nil {
-				return nil, err
-			}
-			return evalBinary(&BinaryExpr{Op: x.Op, Left: &Literal{Val: lv}, Right: &Literal{Val: rv}}, env)
-		}
-		lv, err := evalWithAggs(x.Left, env)
-		if err != nil {
-			return nil, err
-		}
-		rv, err := evalWithAggs(x.Right, env)
-		if err != nil {
-			return nil, err
-		}
-		return evalBinary(&BinaryExpr{Op: x.Op, Left: &Literal{Val: lv}, Right: &Literal{Val: rv}}, env)
-	case *UnaryExpr:
-		v, err := evalWithAggs(x.X, env)
-		if err != nil {
-			return nil, err
-		}
-		return evalExpr(&UnaryExpr{Op: x.Op, X: &Literal{Val: v}}, env)
-	case *IsNullExpr:
-		v, err := evalWithAggs(x.X, env)
-		if err != nil {
-			return nil, err
-		}
-		return (v == nil) != x.Neg, nil
-	default:
-		return evalExpr(e, env)
-	}
-}
-
-// finishedGroup is one group ready for the CN-final phase: a
-// representative row for group-key references and the computed aggregate
-// values keyed by the aggregate call's text. Both the CN-side aggregation
-// and the DN-partial merge path converge on this shape, so HAVING, output
-// evaluation, ORDER BY and LIMIT are shared verbatim between them.
-type finishedGroup struct {
-	rep  []table.Row
-	vals map[string]any
-}
-
 // aggregateRows groups the combined-row block stream and computes
-// aggregate outputs — the CN-side aggregation path. The hash probe is a
-// true row edge: each block's rows feed the group map one at a time
-// through a reused environment, but the pipeline below still moves whole
-// blocks. Aggregation is a pipeline breaker — it consumes the stream to
-// the end — but still holds only per-group state, never the input rows
-// (each group retains one cloned representative row).
+// aggregate outputs — the CN-side aggregation path. Each group folds its
+// rows into one fragment.AggState per aggregate, the same state data
+// nodes fold partial aggregates into; DISTINCT aggregates first drop
+// values already seen in the group. Aggregation is a pipeline breaker —
+// it consumes the stream to the end — but still holds only per-group
+// state, never the input rows (each group retains one copied
+// representative row).
 func aggregateRows(ctx context.Context, p *boundPlan, it blockIter) (*Result, error) {
 	type group struct {
-		rep    []table.Row // representative row for group-key evaluation
-		states []*aggState
+		rep    table.Row // representative combined row, with room for the aggregate slots
+		states []fragment.AggState
+		seen   []map[string]bool // values a DISTINCT aggregate has counted
 	}
 	groups := map[string]*group{}
-	var order []string
+	var order []*group
 
-	env := rowEnv{tables: p.tables, params: p.params}
-	var scr [2]table.Row
+	scr := p.newScratch()
 	var enc keys.Encoder
-	keyVals := make([]any, len(p.groupBy))
+	keyVals := make([]any, len(p.cn.groupBy))
+	arg := make([]any, 1)
 	for {
 		blk, err := it.NextBlock(ctx)
 		if err != nil {
@@ -557,13 +310,9 @@ func aggregateRows(ctx context.Context, p *boundPlan, it blockIter) (*Result, er
 			break
 		}
 		for i, n := 0, blk.n(); i < n; i++ {
-			env.rows = blk.row(i, scr[:])
-			for gi, g := range p.groupBy {
-				v, err := evalExpr(g, &env)
-				if err != nil {
-					return nil, err
-				}
-				keyVals[gi] = v
+			row := blk.row(i, scr)
+			if err := evalInto(keyVals, p.cn.groupBy, row); err != nil {
+				return nil, err
 			}
 			kb, err := distinctKey(&enc, keyVals)
 			if err != nil {
@@ -571,58 +320,82 @@ func aggregateRows(ctx context.Context, p *boundPlan, it blockIter) (*Result, er
 			}
 			grp, ok := groups[string(kb)]
 			if !ok {
-				key := string(kb)
-				grp = &group{rep: append([]table.Row(nil), env.rows...)}
-				for _, fn := range p.aggs {
-					grp.states = append(grp.states, newAggState(fn))
+				grp = &group{
+					rep:    append(make(table.Row, 0, p.width+len(p.aggs)), row...),
+					states: make([]fragment.AggState, len(p.aggs)),
+					seen:   make([]map[string]bool, len(p.aggs)),
 				}
-				groups[key] = grp
-				order = append(order, key)
+				groups[string(kb)] = grp
+				order = append(order, grp)
 			}
-			for _, st := range grp.states {
-				if err := st.add(&env); err != nil {
+			for ai, a := range p.cn.aggs {
+				st := &grp.states[ai]
+				if !a.distinct || a.spec.Star {
+					if err := st.Accumulate(a.spec, row); err != nil {
+						return nil, err
+					}
+					continue
+				}
+				v, err := fragment.Eval(a.spec.Arg, row)
+				if err != nil {
+					return nil, err
+				}
+				if v == nil {
+					continue // SQL aggregates skip NULLs
+				}
+				arg[0] = v
+				key, err := distinctKey(&enc, arg)
+				if err != nil {
+					return nil, err
+				}
+				if grp.seen[ai] == nil {
+					grp.seen[ai] = make(map[string]bool)
+				}
+				if grp.seen[ai][string(key)] {
+					continue
+				}
+				grp.seen[ai][string(key)] = true
+				if err := st.Fold(a.spec.Kind, v); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
 
+	rows := make([]table.Row, len(order))
+	for gi, grp := range order {
+		gr := grp.rep
+		for ai, a := range p.cn.aggs {
+			gr = append(gr, grp.states[ai].Final(a.spec.Kind))
+		}
+		rows[gi] = gr
+	}
 	// A global aggregate over zero rows still yields one output row.
-	if len(groups) == 0 && len(p.groupBy) == 0 {
-		grp := &group{rep: nil}
-		for _, fn := range p.aggs {
-			grp.states = append(grp.states, newAggState(fn))
-		}
-		groups[""] = grp
-		order = append(order, "")
+	if len(rows) == 0 && len(p.groupBy) == 0 {
+		rows = append(rows, emptyGroupRow(p))
 	}
-
-	finished := make([]finishedGroup, 0, len(order))
-	for _, key := range order {
-		grp := groups[key]
-		vals := make(map[string]any, len(grp.states))
-		for i, st := range grp.states {
-			vals[p.aggKeys[i]] = st.result()
-		}
-		finished = append(finished, finishedGroup{rep: grp.rep, vals: vals})
-	}
-	return finishAggGroups(p, finished)
+	return finishAggGroups(p, rows)
 }
 
-// finishAggGroups runs the CN-final phase over computed groups: HAVING,
-// output expressions with aggregate slots substituted, ORDER BY keys, then
+// emptyGroupRow is the group row of a global aggregate over no rows: NULL
+// columns, then each aggregate's result over an empty state.
+func emptyGroupRow(p *boundPlan) table.Row {
+	gr := make(table.Row, p.width, p.width+len(p.aggs))
+	for _, a := range p.cn.aggs {
+		gr = append(gr, fragment.AggState{}.Final(a.spec.Kind))
+	}
+	return gr
+}
+
+// finishAggGroups runs the CN-final phase over group rows: HAVING, the
+// outputs and ORDER BY keys (aggregate calls read their slots), then
 // sort/DISTINCT/OFFSET/LIMIT.
-func finishAggGroups(p *boundPlan, groups []finishedGroup) (*Result, error) {
+func finishAggGroups(p *boundPlan, groups []table.Row) (*Result, error) {
 	out := &Result{Columns: p.outCols}
 	var sortKeys [][]any
-	for _, grp := range groups {
-		env := &aggEnv{base: &rowEnv{tables: p.tables, rows: grp.rep, params: p.params}, vals: grp.vals}
-		if p.having != nil {
-			hv, err := evalWithAggs(p.having, env)
-			if err != nil {
-				return nil, err
-			}
-			ok, err := truthy(hv)
+	for _, gr := range groups {
+		if p.cn.having != nil {
+			ok, err := fragment.EvalBool(p.cn.having, gr)
 			if err != nil {
 				return nil, err
 			}
@@ -630,23 +403,15 @@ func finishAggGroups(p *boundPlan, groups []finishedGroup) (*Result, error) {
 				continue
 			}
 		}
-		outRow := make([]any, len(p.outExprs))
-		for i, e := range p.outExprs {
-			v, err := evalWithAggs(e, env)
-			if err != nil {
-				return nil, err
-			}
-			outRow[i] = v
+		outRow, err := evalRow(p.cn.outs, gr)
+		if err != nil {
+			return nil, err
 		}
 		out.Rows = append(out.Rows, outRow)
-		if len(p.orderBy) > 0 {
-			keys := make([]any, len(p.orderBy))
-			for i, o := range p.orderBy {
-				v, err := evalWithAggs(o.Expr, env)
-				if err != nil {
-					return nil, err
-				}
-				keys[i] = v
+		if len(p.cn.order) > 0 {
+			keys, err := evalRow(p.cn.order, gr)
+			if err != nil {
+				return nil, err
 			}
 			sortKeys = append(sortKeys, keys)
 		}
@@ -750,5 +515,5 @@ func compareNullable(a, b any) (int, error) {
 	case b == nil:
 		return 1, nil
 	}
-	return compare(a, b)
+	return fragment.Compare(a, b)
 }

@@ -2,24 +2,58 @@ package gsql
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"globaldb/gsql/fragment"
 	"globaldb/internal/table"
 )
 
-// litEnv evaluates expressions with no columns in scope.
-var litEnv = &rowEnv{}
+// evalResult is one evaluator's outcome.
+type evalResult struct {
+	v   any
+	err error
+}
 
+// evalBoth evaluates a SQL expression with no columns in scope on the
+// product path — compile, bind, fragment.Eval — and with the oracle's AST
+// interpreter.
+func evalBoth(t *testing.T, exprSQL string) (got, oracle evalResult) {
+	t.Helper()
+	e := mustParse(t, "SELECT "+exprSQL+" FROM t").(*Select).Items[0].Expr
+	got.v, got.err = evalConst(e, nil)
+	oracle.v, oracle.err = evalExpr(e, &oracleEnv{})
+	return got, oracle
+}
+
+// evalSQL evaluates a SQL expression that must succeed on the product
+// path, and checks the oracle agrees on its value.
 func evalSQL(t *testing.T, exprSQL string) any {
 	t.Helper()
-	sel := mustParse(t, "SELECT "+exprSQL+" FROM t").(*Select)
-	v, err := evalExpr(sel.Items[0].Expr, litEnv)
-	if err != nil {
-		t.Fatalf("eval(%q): %v", exprSQL, err)
+	got, oracle := evalBoth(t, exprSQL)
+	if got.err != nil {
+		t.Fatalf("eval(%q): %v", exprSQL, got.err)
 	}
-	return v
+	if oracle.err != nil || fmt.Sprintf("%T %v", got.v, got.v) != fmt.Sprintf("%T %v", oracle.v, oracle.v) {
+		t.Fatalf("eval(%q) = %v (%T), oracle %v (%T), %v", exprSQL, got.v, got.v, oracle.v, oracle.v, oracle.err)
+	}
+	return got.v
+}
+
+// evalSQLErr evaluates a SQL expression that must fail on the product
+// path and in the oracle, returning the product path's error.
+func evalSQLErr(t *testing.T, exprSQL string) error {
+	t.Helper()
+	got, oracle := evalBoth(t, exprSQL)
+	if got.err == nil || oracle.err == nil {
+		t.Fatalf("eval(%q) = %v, %v (oracle error %v): want both to fail", exprSQL, got.v, got.err, oracle.err)
+	}
+	if errors.Is(got.err, ErrType) != errors.Is(oracle.err, ErrType) {
+		t.Fatalf("eval(%q): error %v, oracle error %v", exprSQL, got.err, oracle.err)
+	}
+	return got.err
 }
 
 func TestEvalArithmetic(t *testing.T) {
@@ -44,14 +78,8 @@ func TestEvalArithmetic(t *testing.T) {
 }
 
 func TestEvalDivisionByZero(t *testing.T) {
-	sel := mustParse(t, "SELECT 1 / 0 FROM t").(*Select)
-	if _, err := evalExpr(sel.Items[0].Expr, litEnv); err == nil {
-		t.Fatal("integer division by zero must fail")
-	}
-	sel2 := mustParse(t, "SELECT 1.0 / 0.0 FROM t").(*Select)
-	if _, err := evalExpr(sel2.Items[0].Expr, litEnv); err == nil {
-		t.Fatal("float division by zero must fail")
-	}
+	evalSQLErr(t, "1 / 0")     // integer division by zero must fail
+	evalSQLErr(t, "1.0 / 0.0") // float division by zero must fail
 }
 
 func TestEvalComparisons(t *testing.T) {
@@ -145,8 +173,7 @@ func TestEvalScalarFuncs(t *testing.T) {
 
 func TestEvalTypeErrors(t *testing.T) {
 	for _, src := range []string{"1 + 'x'", "'a' < 1", "NOT 5", "TRUE AND 3", "ABS('x')"} {
-		sel := mustParse(t, "SELECT "+src+" FROM t").(*Select)
-		if _, err := evalExpr(sel.Items[0].Expr, litEnv); !errors.Is(err, ErrType) {
+		if err := evalSQLErr(t, src); !errors.Is(err, ErrType) {
 			t.Errorf("%s: err = %v, want ErrType", src, err)
 		}
 	}
@@ -155,8 +182,8 @@ func TestEvalTypeErrors(t *testing.T) {
 func TestCompareProperties(t *testing.T) {
 	// Antisymmetry and totality over int64/float64 mixes.
 	f := func(a, b int64) bool {
-		c1, err1 := compare(a, b)
-		c2, err2 := compare(b, a)
+		c1, err1 := fragment.Compare(a, b)
+		c2, err2 := fragment.Compare(b, a)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -169,8 +196,8 @@ func TestCompareProperties(t *testing.T) {
 		if math.IsNaN(b) {
 			return true // NaN never enters storage (no NaN literals)
 		}
-		c1, err1 := compare(a, b)
-		c2, err2 := compare(b, a)
+		c1, err1 := fragment.Compare(a, b)
+		c2, err2 := fragment.Compare(b, a)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -184,7 +211,7 @@ func TestCompareProperties(t *testing.T) {
 func TestArithIntFloatProperties(t *testing.T) {
 	// int64+int64 stays integral; mixing with float64 promotes.
 	f := func(a, b int32) bool {
-		v, err := arith("+", int64(a), int64(b))
+		v, err := fragment.Arith("+", int64(a), int64(b))
 		if err != nil {
 			return false
 		}
@@ -195,7 +222,7 @@ func TestArithIntFloatProperties(t *testing.T) {
 		t.Error(err)
 	}
 	g := func(a int32, b float32) bool {
-		v, err := arith("*", int64(a), float64(b))
+		v, err := fragment.Arith("*", int64(a), float64(b))
 		if err != nil {
 			return false
 		}
@@ -207,7 +234,11 @@ func TestArithIntFloatProperties(t *testing.T) {
 	}
 }
 
-func TestRowEnvResolution(t *testing.T) {
+// TestCompileColumnResolution checks that column references resolve once,
+// at compile time, to positions in the flat row — bare and qualified —
+// and that unknown tables, unknown columns and ambiguous columns fail at
+// plan time, before any row exists.
+func TestCompileColumnResolution(t *testing.T) {
 	sch := &table.Schema{
 		ID:   1,
 		Name: "t",
@@ -217,35 +248,53 @@ func TestRowEnvResolution(t *testing.T) {
 		},
 		PK: []int{0},
 	}
-	env := &rowEnv{
-		tables: []*boundTable{{ref: TableRef{Table: "t", Alias: "t"}, schema: sch}},
-		rows:   []table.Row{{int64(7), "x"}},
+	sc := &scope{tables: []*boundTable{{ref: TableRef{Table: "t", Alias: "t"}, schema: sch}}, offs: []int{0}}
+	row := table.Row{int64(7), "x"}
+	for _, tc := range []struct {
+		ref  *ColRef
+		want any
+	}{
+		{&ColRef{Name: "a"}, int64(7)},        // bare ref
+		{&ColRef{Table: "t", Name: "b"}, "x"}, // qualified ref
+	} {
+		fe, err := compileExpr(tc.ref, sc)
+		if err != nil {
+			t.Fatalf("compile %s: %v", tc.ref, err)
+		}
+		if v, err := fragment.Eval(fe, row); err != nil || v != tc.want {
+			t.Fatalf("%s = %v, %v; want %v", tc.ref, v, err, tc.want)
+		}
 	}
-	v, err := evalExpr(&ColRef{Name: "a"}, env)
-	if err != nil || v != int64(7) {
-		t.Fatalf("bare ref: %v %v", v, err)
+	for _, ref := range []*ColRef{{Name: "nope"}, {Table: "u", Name: "a"}} {
+		if _, err := compileExpr(ref, sc); err == nil {
+			t.Fatalf("compile %s: unknown column or table must fail", ref)
+		}
 	}
-	v, err = evalExpr(&ColRef{Table: "t", Name: "b"}, env)
-	if err != nil || v != "x" {
-		t.Fatalf("qualified ref: %v %v", v, err)
-	}
-	if _, err := evalExpr(&ColRef{Name: "nope"}, env); err == nil {
-		t.Fatal("unknown column must fail")
-	}
-	if _, err := evalExpr(&ColRef{Table: "u", Name: "a"}, env); err == nil {
-		t.Fatal("unknown table must fail")
+
+	// Planning alone — no cluster, no rows — rejects them, and the
+	// ambiguous column of a join.
+	for _, sql := range []string{
+		"SELECT nope FROM orders",
+		"SELECT u.w_id FROM orders",
+		"SELECT o_id FROM orders o JOIN lines l ON l.w_id = o.w_id",
+		"SELECT o.o_id FROM orders o WHERE nope > 1",
+		"SELECT COUNT(*) FROM orders o HAVING SUM(nope) > 1",
+	} {
+		if _, err := planSelect(testCatalog(), mustParse(t, sql).(*Select)); err == nil {
+			t.Fatalf("plan(%q) succeeded, want a resolution error", sql)
+		}
 	}
 }
 
 func TestLikePatternCache(t *testing.T) {
 	// Same pattern twice exercises the cache path.
 	for i := 0; i < 2; i++ {
-		ok, err := likeMatch("abc", "a%")
+		ok, err := fragment.LikeMatch("abc", "a%")
 		if err != nil || !ok {
-			t.Fatalf("likeMatch: %v %v", ok, err)
+			t.Fatalf("LikeMatch: %v %v", ok, err)
 		}
 	}
-	if _, err := likeMatch("x", "[("); err != nil {
+	if _, err := fragment.LikeMatch("x", "[("); err != nil {
 		// Metacharacters are quoted, so this is a literal non-match.
 		t.Fatalf("quoted pattern: %v", err)
 	}

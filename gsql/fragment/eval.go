@@ -10,19 +10,19 @@ import (
 	"sync"
 )
 
-// This file is the data-node-side evaluator. Its semantics match gsql's
-// scalar evaluation (globaldb/gsql/expr.go) operator for operator —
-// three-valued logic, NULL propagation, mixed int/float numeric
-// comparison, LIKE translation — because a predicate pushed to a data node
-// must accept exactly the rows the computing node's residual filter would
-// have. The scalar kernel (Compare, Arith, LikeMatch, ErrType) is defined
-// here and gsql's evaluator delegates to it, so the two evaluators cannot
-// drift; gsql's differential tests additionally run every generated query
-// through both and require byte-identical results.
+// This file is GlobalDB's one expression evaluator. Data nodes run it over
+// decoded storage rows inside the paged scan RPC; the computing node runs
+// the same Eval over its flat combined and group rows, because gsql
+// compiles every expression it evaluates — residual filters, projections,
+// ORDER BY, GROUP BY and scan keys, HAVING, UPDATE SET, INSERT values —
+// to an Expr at plan time. A predicate therefore means the same thing
+// wherever it runs: SQL three-valued logic, NULL propagation, mixed
+// int/float numeric comparison and LIKE have one implementation, and
+// gsql's differential tests compare it against an independent AST
+// interpreter kept in its test files.
 
-// ErrType is returned when an expression combines incompatible values. It
-// is the same sentinel gsql's evaluator wraps (gsql.ErrType aliases it),
-// so errors.Is works across the CN/DN split.
+// ErrType is returned when an expression combines incompatible values.
+// gsql.ErrType aliases it, so errors.Is works across the CN/DN split.
 var ErrType = errors.New("gsql: type error")
 
 // Eval evaluates an expression against one decoded row.
@@ -264,13 +264,10 @@ func evalAndOr(e *Expr, row []any, isAnd bool) (any, error) {
 	return lb || rb, nil
 }
 
-// FilterRow reports whether the fragment's filter accepts the row (a nil
-// filter accepts everything; NULL results drop the row, as in SQL).
-func (f *Fragment) FilterRow(row []any) (bool, error) {
-	if f.Filter == nil {
-		return true, nil
-	}
-	v, err := Eval(f.Filter, row)
+// EvalBool evaluates e as a condition: NULL is false, and a non-boolean
+// value is a type error.
+func EvalBool(e *Expr, row []any) (bool, error) {
+	v, err := Eval(e, row)
 	if err != nil {
 		return false, err
 	}
@@ -282,6 +279,15 @@ func (f *Fragment) FilterRow(row []any) (bool, error) {
 	default:
 		return false, fmt.Errorf("%w: %T used as a condition", ErrType, v)
 	}
+}
+
+// FilterRow reports whether the fragment's filter accepts the row (a nil
+// filter accepts everything; NULL results drop the row, as in SQL).
+func (f *Fragment) FilterRow(row []any) (bool, error) {
+	if f.Filter == nil {
+		return true, nil
+	}
+	return EvalBool(f.Filter, row)
 }
 
 // ---- Batch evaluation ----
@@ -433,8 +439,7 @@ func EvalBatch(e *Expr, b *RowBatch, sel []int, out []any) error {
 }
 
 // Compare orders two non-nil SQL values: mixed int64/float64 compare
-// numerically; otherwise both sides must share a type. This is the single
-// comparison kernel for both the CN and DN evaluators.
+// numerically; otherwise both sides must share a type.
 func Compare(a, b any) (int, error) {
 	switch x := a.(type) {
 	case int64:
@@ -490,9 +495,8 @@ func cmpFloat(x, y float64) int {
 	}
 }
 
-// Arith applies +, -, *, /, % to two non-nil values — the shared
-// arithmetic kernel for both evaluators. String concatenation via + is a
-// convenience extension.
+// Arith applies +, -, *, /, % to two non-nil values. String concatenation
+// via + is a convenience extension.
 func Arith(op string, a, b any) (any, error) {
 	ai, aIsInt := a.(int64)
 	bi, bIsInt := b.(int64)
@@ -560,11 +564,10 @@ func toFloat(v any) (float64, bool) {
 	}
 }
 
-// likeCache memoizes compiled LIKE patterns, shared by both evaluators.
+// likeCache memoizes compiled LIKE patterns.
 var likeCache sync.Map // string -> *regexp.Regexp
 
-// LikeMatch implements SQL LIKE with % and _ wildcards — the shared
-// pattern kernel for both evaluators.
+// LikeMatch implements SQL LIKE with % and _ wildcards.
 func LikeMatch(s, pattern string) (bool, error) {
 	if cached, ok := likeCache.Load(pattern); ok {
 		return cached.(*regexp.Regexp).MatchString(s), nil
@@ -701,9 +704,8 @@ func (st *AggState) Merge(o AggState) error {
 	return nil
 }
 
-// Final computes the aggregate's SQL result from the merged state,
-// matching gsql's CN-side aggregation exactly (SUM and AVG over zero rows
-// are NULL; COUNT is 0).
+// Final computes the aggregate's SQL result from the merged state (SUM and
+// AVG over zero rows are NULL; COUNT is 0).
 func (st AggState) Final(kind AggKind) any {
 	switch kind {
 	case AggCount:

@@ -7,11 +7,11 @@
 // it at the request's snapshot timestamp, on the read-write path and the
 // read-on-replica path alike.
 //
-// The evaluator (eval.go) mirrors gsql's scalar expression semantics
-// exactly — SQL three-valued logic, mixed int/float comparison, LIKE — so a
-// predicate evaluated on a data node accepts precisely the rows the
-// computing node's own filter would have accepted. The differential tests
-// in gsql assert this byte-for-byte.
+// The evaluator (eval.go) is the only one GlobalDB has: gsql compiles the
+// expressions the computing node evaluates to the same Expr trees and runs
+// them through the same Eval, so a predicate evaluated on a data node
+// accepts precisely the rows the computing node's own filter would have
+// accepted. The differential tests in gsql assert this byte-for-byte.
 //
 // Aggregation is split DN-partial / CN-final: data nodes fold matching rows
 // into per-group AggStates (COUNT/SUM/MIN/MAX, with AVG carried as
@@ -173,19 +173,19 @@ func (f *Fragment) HasAggs() bool { return len(f.Aggs) > 0 }
 // columns entirely.
 func (f *Fragment) NeededCols() []bool {
 	need := make([]bool, len(f.Kinds))
-	exprCols(f.Filter, need)
+	ExprCols(f.Filter, need)
 	if f.HasAggs() {
 		for _, c := range f.GroupBy {
 			need[c] = true
 		}
 		for _, a := range f.Aggs {
-			exprCols(a.Arg, need)
+			ExprCols(a.Arg, need)
 		}
 		return need
 	}
 	if f.Lookup != nil {
 		for i := range f.Lookup.KeyExprs {
-			exprCols(&f.Lookup.KeyExprs[i], need)
+			ExprCols(&f.Lookup.KeyExprs[i], need)
 		}
 		if f.Project == nil {
 			for i := range need {
@@ -200,8 +200,8 @@ func (f *Fragment) NeededCols() []bool {
 	return need
 }
 
-// exprCols marks the storage columns referenced by e in need.
-func exprCols(e *Expr, need []bool) {
+// ExprCols marks the columns referenced by e in need; a nil e marks none.
+func ExprCols(e *Expr, need []bool) {
 	if e == nil {
 		return
 	}
@@ -209,7 +209,7 @@ func exprCols(e *Expr, need []bool) {
 		need[e.Col] = true
 	}
 	for i := range e.Args {
-		exprCols(&e.Args[i], need)
+		ExprCols(&e.Args[i], need)
 	}
 }
 
@@ -613,65 +613,97 @@ func validateExpr(e *Expr, ncols int) error {
 // fragment template serves every execution of a prepared statement.
 func (f *Fragment) Bind(params []any) (*Fragment, error) {
 	out := &Fragment{Kinds: f.Kinds, Project: f.Project, GroupBy: f.GroupBy}
+	var err error
 	if f.Filter != nil {
-		e, err := bindExpr(*f.Filter, params)
-		if err != nil {
+		if out.Filter, err = BindExpr(f.Filter, params); err != nil {
 			return nil, err
 		}
-		out.Filter = &e
 	}
 	for _, a := range f.Aggs {
 		spec := AggSpec{Kind: a.Kind, Star: a.Star}
 		if a.Arg != nil {
-			e, err := bindExpr(*a.Arg, params)
-			if err != nil {
+			if spec.Arg, err = BindExpr(a.Arg, params); err != nil {
 				return nil, err
 			}
-			spec.Arg = &e
 		}
 		out.Aggs = append(out.Aggs, spec)
 	}
 	if f.Lookup != nil {
-		lk := &Lookup{Prefix: f.Lookup.Prefix, KeyKinds: f.Lookup.KeyKinds,
-			Kinds: f.Lookup.Kinds, Project: f.Lookup.Project}
-		lk.KeyExprs = make([]Expr, len(f.Lookup.KeyExprs))
-		for i := range f.Lookup.KeyExprs {
-			e, err := bindExpr(f.Lookup.KeyExprs[i], params)
-			if err != nil {
-				return nil, err
-			}
-			lk.KeyExprs[i] = e
+		lk := *f.Lookup
+		if lk.KeyExprs, err = BindExprs(f.Lookup.KeyExprs, params); err != nil {
+			return nil, err
 		}
-		out.Lookup = lk
+		out.Lookup = &lk
 	}
 	return out, nil
 }
 
-func bindExpr(e Expr, params []any) (Expr, error) {
+// BindExpr substitutes parameter values for e's OpParam nodes. Subtrees
+// without a parameter are shared with e, not copied, so binding a
+// parameter-free expression returns e itself and allocates nothing. A nil
+// e binds to nil.
+func BindExpr(e *Expr, params []any) (*Expr, error) {
+	if e == nil {
+		return nil, nil
+	}
+	b, changed, err := bindExpr(e, params)
+	if err != nil {
+		return nil, err
+	}
+	if !changed {
+		return e, nil
+	}
+	return &b, nil
+}
+
+// BindExprs binds each expression of es like BindExpr, returning es itself
+// when none references a parameter.
+func BindExprs(es []Expr, params []any) ([]Expr, error) {
+	out, _, err := bindExprs(es, params)
+	return out, err
+}
+
+// bindExprs binds es, and reports whether any parameter was bound; es is
+// returned as is when none was.
+func bindExprs(es []Expr, params []any) ([]Expr, bool, error) {
+	var out []Expr
+	for i := range es {
+		b, changed, err := bindExpr(&es[i], params)
+		if err != nil {
+			return nil, false, err
+		}
+		if changed && out == nil {
+			out = append([]Expr(nil), es...)
+		}
+		if out != nil {
+			out[i] = b
+		}
+	}
+	if out == nil {
+		return es, false, nil
+	}
+	return out, true, nil
+}
+
+// bindExpr returns e with its parameters bound, and whether any were.
+func bindExpr(e *Expr, params []any) (Expr, bool, error) {
 	if e.Op == OpParam {
 		if e.Col < 1 || e.Col > len(params) {
-			return Expr{}, fmt.Errorf("fragment: parameter $%d with %d bound", e.Col, len(params))
+			return Expr{}, false, fmt.Errorf("fragment: parameter $%d with %d bound", e.Col, len(params))
 		}
 		v := params[e.Col-1]
 		switch v.(type) {
 		case nil, int64, float64, string, []byte, bool:
-			return Expr{Op: OpConst, Val: v}, nil
+			return Expr{Op: OpConst, Val: v}, true, nil
 		default:
-			return Expr{}, fmt.Errorf("fragment: parameter $%d has unsupported type %T", e.Col, v)
+			return Expr{}, false, fmt.Errorf("fragment: parameter $%d has unsupported type %T", e.Col, v)
 		}
 	}
-	if len(e.Args) == 0 {
-		return e, nil
+	args, changed, err := bindExprs(e.Args, params)
+	if err != nil || !changed {
+		return *e, false, err
 	}
-	args := make([]Expr, len(e.Args))
-	for i := range e.Args {
-		a, err := bindExpr(e.Args[i], params)
-		if err != nil {
-			return Expr{}, err
-		}
-		args[i] = a
-	}
-	return Expr{Op: e.Op, Col: e.Col, Val: e.Val, Args: args}, nil
+	return Expr{Op: e.Op, Col: e.Col, Val: e.Val, Args: args}, true, nil
 }
 
 // ---- Row codec helpers ----

@@ -95,7 +95,8 @@ func TestDecodeRejectsBadArity(t *testing.T) {
 }
 
 // TestBindSubstitutesParams checks that Bind replaces OpParam nodes with
-// constants, rejects unbound positions, and leaves the template intact.
+// constants, rejects unbound positions, leaves the template intact, and
+// shares parameter-free subtrees with it instead of copying them.
 func TestBindSubstitutesParams(t *testing.T) {
 	tpl := &Fragment{
 		Kinds:  []table.Kind{table.Int64},
@@ -116,6 +117,18 @@ func TestBindSubstitutesParams(t *testing.T) {
 	}
 	if _, err := tpl.Bind([]any{struct{}{}}); err == nil {
 		t.Fatal("Bind accepted an unsupported parameter type")
+	}
+	noParam := bin(OpGt, col(0), Expr{Op: OpConst, Val: int64(1)})
+	if b, err := BindExpr(noParam, nil); err != nil || b != noParam {
+		t.Fatalf("parameter-free BindExpr = %p, %v; want the template itself", b, err)
+	}
+	mixed := bin(OpAnd, *noParam, *tpl.Filter)
+	b, err := BindExpr(mixed, []any{int64(42)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &b.Args[0].Args[0] != &mixed.Args[0].Args[0] || b.Args[1].Args[1].Val != int64(42) {
+		t.Fatalf("BindExpr copied a parameter-free subtree or missed the parameter: %+v", b)
 	}
 	// An unbound parameter reaching evaluation is an error, not a value.
 	if _, err := Eval(tpl.Filter, []any{int64(1)}); err == nil {

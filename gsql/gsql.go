@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"globaldb"
+	"globaldb/gsql/fragment"
 	"globaldb/internal/obs"
 	"globaldb/internal/table"
 )
@@ -141,7 +142,7 @@ func (s *Session) Exec(ctx context.Context, sql string, args ...any) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	return s.dispatch(ctx, cs.stmt, cs.plan, params)
+	return s.dispatch(ctx, cs, params)
 }
 
 // ExecScript runs a semicolon-separated script, returning the last
@@ -165,29 +166,29 @@ func (s *Session) ExecScript(ctx context.Context, sql string) (*Result, error) {
 }
 
 // ExecStmt runs one parsed statement with the given parameter values. It
-// plans SELECTs afresh on every call; Exec and Prepare are the cached
-// entry points.
+// plans SELECT, UPDATE and DELETE afresh on every call; Exec and Prepare
+// are the cached entry points.
 func (s *Session) ExecStmt(ctx context.Context, stmt Statement, args ...any) (*Result, error) {
 	params, err := bindArgs(CountParams(stmt), args)
 	if err != nil {
 		return nil, err
 	}
-	return s.dispatch(ctx, stmt, nil, params)
+	return s.dispatch(ctx, &preparedStatement{stmt: stmt}, params)
 }
 
-// dispatch runs one statement. plan, when non-nil, is the cached plan of a
-// SELECT statement; a nil plan makes SELECT plan on the spot. With session
-// tracing on it brackets the statement in a fresh trace and attaches the
-// rendered span tree to the result.
-func (s *Session) dispatch(ctx context.Context, stmt Statement, plan *selectPlan, params []any) (*Result, error) {
+// dispatch runs one statement with the plans cs carries; a statement
+// without one (ExecStmt) is planned on the spot. With session tracing on
+// it brackets the statement in a fresh trace and attaches the rendered
+// span tree to the result.
+func (s *Session) dispatch(ctx context.Context, cs *preparedStatement, params []any) (*Result, error) {
 	if !s.trace || s.curTrace != nil {
-		return s.dispatchStmt(ctx, stmt, plan, params)
+		return s.dispatchStmt(ctx, cs, params)
 	}
-	tr := obs.NewTrace(traceName(stmt))
+	tr := obs.NewTrace(traceName(cs.stmt))
 	s.curTrace = tr
 	// The root span rides the context so statements without their own span
 	// plumbing (writes, DDL) still attach commit/2PC fan-out spans.
-	res, err := s.dispatchStmt(obs.WithSpan(ctx, tr.Root()), stmt, plan, params)
+	res, err := s.dispatchStmt(obs.WithSpan(ctx, tr.Root()), cs, params)
 	s.curTrace = nil
 	tr.Root().End()
 	if err == nil && res != nil {
@@ -205,16 +206,21 @@ func traceName(stmt Statement) string {
 	return strings.ToLower(text)
 }
 
-func (s *Session) dispatchStmt(ctx context.Context, stmt Statement, plan *selectPlan, params []any) (*Result, error) {
-	switch st := stmt.(type) {
+func (s *Session) dispatchStmt(ctx context.Context, cs *preparedStatement, params []any) (*Result, error) {
+	switch st := cs.stmt.(type) {
 	case *Select:
-		return s.execSelect(ctx, st, plan, params)
+		return s.execSelect(ctx, st, cs.plan, params)
 	case *Insert:
 		return s.execInsert(ctx, st, params)
-	case *Update:
-		return s.execUpdate(ctx, st, params)
-	case *Delete:
-		return s.execDelete(ctx, st, params)
+	case *Update, *Delete:
+		wp := cs.write
+		if wp == nil {
+			var err error
+			if wp, err = planWrite(s, st); err != nil {
+				return nil, err
+			}
+		}
+		return s.execWrite(ctx, wp, params)
 	case *CreateTable:
 		return s.execCreateTable(ctx, st)
 	case *DropTable:
@@ -274,7 +280,7 @@ func (s *Session) dispatchStmt(ctx context.Context, stmt Statement, plan *select
 	case *Explain:
 		return s.execExplain(ctx, st, params)
 	default:
-		return nil, fmt.Errorf("gsql: unhandled statement %T", stmt)
+		return nil, fmt.Errorf("gsql: unhandled statement %T", cs.stmt)
 	}
 }
 
@@ -470,7 +476,7 @@ func (s *Session) execInsert(ctx context.Context, ins *Insert, params []any) (*R
 		}
 		row := make(globaldb.Row, len(sch.Columns))
 		for i, e := range exprRow {
-			v, err := evalExpr(e, &rowEnv{params: params}) // constants and parameters only: no columns in scope
+			v, err := evalConst(e, params)
 			if err != nil {
 				return nil, err
 			}
@@ -496,31 +502,87 @@ func (s *Session) execInsert(ctx context.Context, ins *Insert, params []any) (*R
 	return &Result{Affected: n, Msg: fmt.Sprintf("INSERT %d", n)}, nil
 }
 
-// writeMatching runs the body of an UPDATE or DELETE in the session
-// transaction, or an autocommit one: it finds the rows the single-table
-// WHERE selects and calls write once per row, with env bound to that row.
-// The row search is planned as `SELECT * ... WHERE` and runs on the
-// operator pipeline SELECT uses — DN filter pushdown, pushed range bounds
-// and the session's pushdown setting included — keeping each block's
-// full-width rows. The pipeline is closed, joining its prefetch
-// goroutines, before the first write. verb names the statement in the
-// result message.
-func (s *Session) writeMatching(ctx context.Context, verb, tableName string, where Expr, params []any, write func(tx *globaldb.Tx, env *rowEnv) error) (*Result, error) {
+// writePlan is a planned UPDATE or DELETE: its row search, planned as the
+// single-table `SELECT * FROM table WHERE ...`, and for UPDATE the SET
+// assignments — target columns and values compiled over the table's rows.
+type writePlan struct {
+	verb     string
+	search   *selectPlan
+	setCols  []int
+	setExprs []fragment.Expr
+}
+
+// planWrite plans an UPDATE or DELETE statement.
+func planWrite(cat catalog, stmt Statement) (*writePlan, error) {
+	wp := &writePlan{verb: "DELETE"}
+	var tableName string
+	var where Expr
+	var set []Assignment
+	switch st := stmt.(type) {
+	case *Update:
+		wp.verb, tableName, where, set = "UPDATE", st.Table, st.Where, st.Set
+	case *Delete:
+		tableName, where = st.Table, st.Where
+	default:
+		return nil, fmt.Errorf("gsql: %T is not a write statement", stmt)
+	}
 	sel := &Select{
 		Items: []SelectItem{{Expr: &Star{}}},
 		From:  TableRef{Table: tableName, Alias: tableName},
 		Where: where,
 		Limit: -1,
 	}
-	p, err := planSelect(s, sel)
-	if err != nil {
+	var err error
+	if wp.search, err = planSelect(cat, sel); err != nil {
 		return nil, err
 	}
-	bp, err := p.bind(params)
+	sch := wp.search.tables[0].schema
+	// Reject PK and indexed-column updates (index entries are rewritten in
+	// place, not migrated — the same restriction GaussDB's distribution
+	// keys have).
+	frozen := map[int]bool{}
+	for _, p := range sch.PK {
+		frozen[p] = true
+	}
+	for _, ix := range sch.Indexes {
+		for _, c := range ix.Cols {
+			frozen[c] = true
+		}
+	}
+	exprs := make([]Expr, len(set))
+	for i, a := range set {
+		ci := sch.ColIndex(a.Col)
+		if ci < 0 {
+			return nil, fmt.Errorf("gsql: table %s has no column %q", tableName, a.Col)
+		}
+		if frozen[ci] {
+			return nil, fmt.Errorf("gsql: cannot update primary-key or indexed column %q", a.Col)
+		}
+		wp.setCols = append(wp.setCols, ci)
+		exprs[i] = a.Expr
+	}
+	if wp.setExprs, err = compileExprs(exprs, wp.search.rowScope()); err != nil {
+		return nil, err
+	}
+	return wp, nil
+}
+
+// execWrite runs an UPDATE or DELETE in the session transaction, or an
+// autocommit one. The row search runs on the operator pipeline SELECT
+// uses — DN filter pushdown, pushed range bounds and the session's
+// pushdown setting included — keeping each block's full-width rows. The
+// pipeline is closed, joining its prefetch goroutines, before the first
+// write.
+func (s *Session) execWrite(ctx context.Context, wp *writePlan, params []any) (*Result, error) {
+	bp, err := wp.search.bind(params)
 	if err != nil {
 		return nil, err
 	}
 	bp.noPushdown = s.pushdownOff
+	set, err := fragment.BindExprs(wp.setExprs, params)
+	if err != nil {
+		return nil, err
+	}
 	var scan globaldb.ScanStats
 	n, err := s.withWriteTxn(ctx, func(tx *globaldb.Tx) (int, error) {
 		it, _, totals, err := buildPipeline(ctx, tx, bp)
@@ -537,10 +599,8 @@ func (s *Session) writeMatching(ctx context.Context, verb, tableName string, whe
 		if err != nil {
 			return 0, err
 		}
-		env := &rowEnv{tables: bp.tables, rows: make([]table.Row, 1), params: params}
 		for _, row := range rows {
-			env.rows[0] = row
-			if err := write(tx, env); err != nil {
+			if err := wp.write(ctx, tx, set, row); err != nil {
 				return 0, err
 			}
 		}
@@ -549,71 +609,31 @@ func (s *Session) writeMatching(ctx context.Context, verb, tableName string, whe
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Affected: n, Msg: fmt.Sprintf("%s %d", verb, n), Scan: scan}, nil
+	return &Result{Affected: n, Msg: fmt.Sprintf("%s %d", wp.verb, n), Scan: scan}, nil
 }
 
-func (s *Session) execUpdate(ctx context.Context, u *Update, params []any) (*Result, error) {
-	sch, err := s.db.Schema(u.Table)
-	if err != nil {
-		return nil, err
-	}
-	// Reject PK and indexed-column updates (index entries are rewritten in
-	// place, not migrated — the same restriction GaussDB's distribution
-	// keys have).
-	frozen := map[int]bool{}
-	for _, p := range sch.PK {
-		frozen[p] = true
-	}
-	for _, ix := range sch.Indexes {
-		for _, c := range ix.Cols {
-			frozen[c] = true
-		}
-	}
-	type binding struct {
-		col  int
-		expr Expr
-	}
-	var bindings []binding
-	for _, a := range u.Set {
-		ci := sch.ColIndex(a.Col)
-		if ci < 0 {
-			return nil, fmt.Errorf("gsql: table %s has no column %q", u.Table, a.Col)
-		}
-		if frozen[ci] {
-			return nil, fmt.Errorf("gsql: cannot update primary-key or indexed column %q", a.Col)
-		}
-		bindings = append(bindings, binding{col: ci, expr: a.Expr})
-	}
-	return s.writeMatching(ctx, "UPDATE", u.Table, u.Where, params, func(tx *globaldb.Tx, env *rowEnv) error {
-		updated := make(globaldb.Row, len(env.rows[0]))
-		copy(updated, env.rows[0])
-		for _, b := range bindings {
-			v, err := evalExpr(b.expr, env)
-			if err != nil {
-				return err
-			}
-			cv, err := coerceValue(sch, b.col, v)
-			if err != nil {
-				return err
-			}
-			updated[b.col] = cv
-		}
-		return tx.Update(ctx, u.Table, updated)
-	})
-}
-
-func (s *Session) execDelete(ctx context.Context, d *Delete, params []any) (*Result, error) {
-	sch, err := s.db.Schema(d.Table)
-	if err != nil {
-		return nil, err
-	}
-	return s.writeMatching(ctx, "DELETE", d.Table, d.Where, params, func(tx *globaldb.Tx, env *rowEnv) error {
+// write updates or deletes one matched row; set holds an UPDATE's SET
+// values with this execution's parameters bound.
+func (wp *writePlan) write(ctx context.Context, tx *globaldb.Tx, set []fragment.Expr, row table.Row) error {
+	sch := wp.search.tables[0].schema
+	if wp.verb == "DELETE" {
 		pkVals := make([]any, len(sch.PK))
 		for i, p := range sch.PK {
-			pkVals[i] = env.rows[0][p]
+			pkVals[i] = row[p]
 		}
-		return tx.Delete(ctx, d.Table, pkVals)
-	})
+		return tx.Delete(ctx, sch.Name, pkVals)
+	}
+	updated := append(globaldb.Row(nil), row...)
+	for i, col := range wp.setCols {
+		v, err := fragment.Eval(&set[i], row)
+		if err != nil {
+			return err
+		}
+		if updated[col], err = coerceValue(sch, col, v); err != nil {
+			return err
+		}
+	}
+	return tx.Update(ctx, sch.Name, updated)
 }
 
 // sqlKinds maps normalized SQL type names to column kinds.

@@ -21,10 +21,13 @@ import (
 // Query share), the sort and aggregation breakers, and UPDATE/DELETE row
 // collection.
 
-// rowBlock is a batch of combined rows: tabs[t][i] is FROM-table t's row
-// in combined row i. All tabs have equal length. A block returned by
-// NextBlock is valid until the following NextBlock call; consumers may
-// retain the table.Rows inside it, but not the block or its slices.
+// rowBlock is a batch of combined rows. A block has either one tab, whose
+// rows are already laid out flat (a single table's rows, or the joined
+// rows a pushed lookup join ships: outer columns, then inner), or two,
+// where tabs[t][i] is FROM-table t's part of combined row i. All tabs have
+// equal length. A block returned by NextBlock is valid until the following
+// NextBlock call; consumers may retain the table.Rows inside it, but not
+// the block or its slices.
 type rowBlock struct {
 	tabs [][]table.Row
 }
@@ -37,14 +40,25 @@ func (b *rowBlock) n() int {
 	return len(b.tabs[0])
 }
 
-// row copies combined row i into scratch, the bridge to row-at-a-time
-// expression evaluation.
-func (b *rowBlock) row(i int, scratch []table.Row) []table.Row {
-	out := scratch[:len(b.tabs)]
-	for t := range b.tabs {
-		out[t] = b.tabs[t][i]
+// row returns combined row i in the flat layout compiled expressions read:
+// a one-tab block's row itself, or a two-tab block's parts concatenated
+// into scratch (sized by newScratch).
+func (b *rowBlock) row(i int, scratch table.Row) table.Row {
+	if len(b.tabs) == 1 {
+		return b.tabs[0][i]
 	}
-	return out
+	n := copy(scratch, b.tabs[0][i])
+	copy(scratch[n:], b.tabs[1][i])
+	return scratch
+}
+
+// newScratch returns the row buffer rowBlock.row concatenates a join's
+// combined rows into; single-table plans need none.
+func (p *selectPlan) newScratch() table.Row {
+	if p.inner == nil {
+		return nil
+	}
+	return make(table.Row, p.width)
 }
 
 // blockIter is a batch-native volcano operator: NextBlock returns the next
@@ -112,13 +126,8 @@ func (s *scanIter) Close() {
 // by re-allocating rows.
 type filterIter struct {
 	child  blockIter
-	filter Expr
-	env    rowEnv
-	scr    [2]table.Row
-}
-
-func newFilterIter(child blockIter, filter Expr, tables []*boundTable, params []any) *filterIter {
-	return &filterIter{child: child, filter: filter, env: rowEnv{tables: tables, params: params}}
+	filter *fragment.Expr
+	scr    table.Row
 }
 
 func (f *filterIter) NextBlock(ctx context.Context) (*rowBlock, error) {
@@ -130,12 +139,7 @@ func (f *filterIter) NextBlock(ctx context.Context) (*rowBlock, error) {
 		n := blk.n()
 		keep := 0
 		for i := 0; i < n; i++ {
-			f.env.rows = blk.row(i, f.scr[:])
-			v, err := evalExpr(f.filter, &f.env)
-			if err != nil {
-				return nil, err
-			}
-			pass, err := truthy(v)
+			pass, err := fragment.EvalBool(f.filter, blk.row(i, f.scr))
 			if err != nil {
 				return nil, err
 			}
@@ -237,20 +241,12 @@ func (j *nestedLoopIter) Close() {
 // pages; totals, when non-nil, accumulates the scan's per-layer row counts
 // at Close.
 func openScan(ctx context.Context, r reader, p *boundPlan, s *tableScan, outerRow table.Row, fetchLimit, pageHint, prefetch int, frag *fragment.Fragment, totals *scanTotals) (blockIter, error) {
-	env := &rowEnv{tables: p.tables, params: p.params}
-	if outerRow != nil {
-		env.rows = []table.Row{outerRow}
-	}
-	keyVals := make([]any, len(s.keyExprs))
-	for i, e := range s.keyExprs {
-		v, err := evalExpr(e, env)
-		if err != nil {
-			return nil, err
-		}
-		keyVals[i] = v
+	keyVals, rng, err := scanBounds(s, p.params, outerRow)
+	if err != nil {
+		return nil, err
 	}
 	name := s.tab.schema.Name
-	opts := globaldb.ScanOpts{Limit: fetchLimit, PageSize: pageHint, Prefetch: prefetch, Range: scanRange(s, env), Pushdown: frag}
+	opts := globaldb.ScanOpts{Limit: fetchLimit, PageSize: pageHint, Prefetch: prefetch, Range: rng, Pushdown: frag}
 	switch s.kind {
 	case accessPoint:
 		keyVals, err := coerceKey(s.tab.schema, s.tab.schema.PK, keyVals)
@@ -297,32 +293,39 @@ func openScan(ctx context.Context, r reader, p *boundPlan, s *tableScan, outerRo
 	}
 }
 
-// scanRange evaluates a scan's pushed range bounds. A bound whose value is
-// NULL or fails to coerce to the column kind is dropped — the residual
-// filter still holds the conjunct, so dropping only widens the scan.
-func scanRange(s *tableScan, env *rowEnv) *globaldb.ScanRange {
-	if s.rangeCol < 0 || (s.rangeLo == nil && s.rangeHi == nil) {
-		return nil
+// scanBounds binds and evaluates a scan's key expressions and pushed range
+// bounds over outerRow (nil for outer scans, whose keys read no column). A
+// bound whose value is NULL or fails to coerce to the column kind is
+// dropped — the residual filter still holds the conjunct, so dropping only
+// widens the scan.
+func scanBounds(s *tableScan, params []any, outerRow table.Row) ([]any, *globaldb.ScanRange, error) {
+	keys, err := fragment.BindExprs(s.keys, params)
+	if err != nil {
+		return nil, nil, err
+	}
+	keyVals, err := evalRow(keys, outerRow)
+	if err != nil {
+		return nil, nil, err
+	}
+	if s.lo == nil && s.hi == nil {
+		return keyVals, nil, nil
 	}
 	rng := &globaldb.ScanRange{LoExcl: s.loExcl, HiExcl: s.hiExcl}
-	if s.rangeLo != nil {
-		if v, err := evalExpr(s.rangeLo, env); err == nil && v != nil {
-			if cv, err := coerceValue(s.tab.schema, s.rangeCol, v); err == nil {
-				rng.Lo = cv
+	bound := func(e *fragment.Expr) any {
+		if e, err := fragment.BindExpr(e, params); err == nil && e != nil {
+			if v, err := fragment.Eval(e, outerRow); err == nil {
+				if cv, err := coerceValue(s.tab.schema, s.rangeCol, v); err == nil {
+					return cv
+				}
 			}
 		}
-	}
-	if s.rangeHi != nil {
-		if v, err := evalExpr(s.rangeHi, env); err == nil && v != nil {
-			if cv, err := coerceValue(s.tab.schema, s.rangeCol, v); err == nil {
-				rng.Hi = cv
-			}
-		}
-	}
-	if rng.Lo == nil && rng.Hi == nil {
 		return nil
 	}
-	return rng
+	rng.Lo, rng.Hi = bound(s.lo), bound(s.hi)
+	if rng.Lo == nil && rng.Hi == nil {
+		return keyVals, nil, nil
+	}
+	return keyVals, rng, nil
 }
 
 // buildPipeline assembles the batch-native operator tree for a planned
@@ -348,7 +351,7 @@ func buildPipeline(ctx context.Context, r reader, p *boundPlan) (it blockIter, o
 	// optimization, not a dependency. A pushed lookup join binds its own
 	// fragment (outer scan + inner lookup fused); a bind failure there
 	// falls back to the nested loop the same way.
-	filter := p.filter
+	filter := p.cnFilter
 	var frag *fragment.Fragment
 	lookupOn := false
 	if strategy == joinLookup {
@@ -365,6 +368,9 @@ func buildPipeline(ctx context.Context, r reader, p *boundPlan) (it blockIter, o
 			frag = bf
 			filter = p.push.cnFilter
 		}
+	}
+	if filter, err = fragment.BindExpr(filter, p.params); err != nil {
+		return nil, false, nil, err
 	}
 
 	// A limit is pushed all the way into the outer scan only when nothing
@@ -400,37 +406,30 @@ func buildPipeline(ctx context.Context, r reader, p *boundPlan) (it blockIter, o
 			pageHint = 16
 		}
 	}
-	if lookupOn {
-		rows, err := openLookupRows(ctx, r, p, fetchLimit, pageHint, prefetch, frag)
-		if err != nil {
-			return nil, false, nil, err
-		}
-		it = &lookupJoinIter{rows: rows, totals: totals,
-			outerW: len(p.tables[0].schema.Columns)}
-	} else {
-		scan, err := openScan(ctx, r, p, p.outer, nil, fetchLimit, pageHint, prefetch, frag, totals)
-		if err != nil {
-			return nil, false, nil, err
-		}
-		it = scan
-		switch {
-		case p.inner != nil && strategy == joinHash:
-			it = &hashJoinIter{r: r, p: p, hj: p.join.hash, outer: it, totals: totals}
-		case p.inner != nil:
-			it = &nestedLoopIter{
-				outer: it,
-				openInner: func(outerRow table.Row) (blockIter, error) {
-					// Inner lookups are opened per outer row, drained, and
-					// closed immediately — there is no consumption to overlap a
-					// prefetch with, so keep them on the synchronous path
-					// rather than paying a goroutine + channel per outer row.
-					return openScan(ctx, r, p, p.inner, outerRow, 0, 0, -1, nil, totals)
-				},
-			}
+	it, err = openScan(ctx, r, p, p.outer, nil, fetchLimit, pageHint, prefetch, frag, totals)
+	if err != nil {
+		return nil, false, nil, err
+	}
+	switch {
+	case lookupOn:
+		// The data nodes ship joined rows, already in the combined-row
+		// layout (outer columns, then inner).
+	case p.inner != nil && strategy == joinHash:
+		it = &hashJoinIter{r: r, p: p, hj: p.join.hash, outer: it, totals: totals}
+	case p.inner != nil:
+		it = &nestedLoopIter{
+			outer: it,
+			openInner: func(outerRow table.Row) (blockIter, error) {
+				// Inner lookups are opened per outer row, drained, and
+				// closed immediately — there is no consumption to overlap a
+				// prefetch with, so keep them on the synchronous path
+				// rather than paying a goroutine + channel per outer row.
+				return openScan(ctx, r, p, p.inner, outerRow, 0, 0, -1, nil, totals)
+			},
 		}
 	}
 	if filter != nil {
-		it = newFilterIter(it, filter, p.tables, p.params)
+		it = &filterIter{child: it, filter: filter, scr: p.newScratch()}
 	}
 	if p.inner != nil {
 		p.chosenJoin = strategy
@@ -465,18 +464,12 @@ func scanSatisfiesOrder(p *selectPlan) bool {
 		return false
 	}
 	pos := 0
-	for _, o := range p.orderBy {
-		if o.Desc {
+	for i, o := range p.orderBy {
+		key := &p.cn.order[i] // a single table's combined row is its stored row
+		if o.Desc || key.Op != fragment.OpCol {
 			return false
 		}
-		cr, ok := o.Expr.(*ColRef)
-		if !ok {
-			return false
-		}
-		ti, ci, err := resolveCol(cr, p.tables)
-		if err != nil || ti != 0 {
-			return false
-		}
+		ci := key.Col
 		if bound[ci] {
 			continue // constant under the equality prefix
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"globaldb"
 	"globaldb/gsql/fragment"
 	"globaldb/internal/keys"
 	"globaldb/internal/table"
@@ -97,16 +96,17 @@ type joinPlan struct {
 // lookupJoin is the pushed lookup-join template: the outer fragment with
 // fragment.Lookup attached (placeholders still OpParam; bound per
 // execution) and the residual filter the CN still evaluates on joined
-// rows. The ON equality conjuncts the lookup key enforces are removed
-// from the residual — the data node's key encoding plus its post-scan
-// value check reproduce their semantics exactly.
+// rows, compiled over them. The ON equality conjuncts the lookup key
+// enforces are removed from the residual — the data node's key encoding
+// plus its post-scan value check reproduce their semantics exactly.
 type lookupJoin struct {
 	frag     *fragment.Fragment
-	cnFilter Expr
+	cnFilter *fragment.Expr
 
 	// describe-only fields (EXPLAIN).
 	keyCols     []string
 	pushedExprs []Expr
+	residual    Expr
 }
 
 // hashJoin is the CN hash-join layout: the build-side access path (never
@@ -177,15 +177,6 @@ func analyzeLookupJoin(p *selectPlan) *lookupJoin {
 		return nil
 	}
 
-	keyExprs := make([]fragment.Expr, len(inner.keyExprs))
-	for i, e := range inner.keyExprs {
-		fe, ok := compilePushExpr(e, p.tables)
-		if !ok {
-			return nil
-		}
-		keyExprs[i] = *fe
-	}
-
 	// The ON conjuncts whose equality the encoded key enforces leave the
 	// residual. A conjunct is consumed when it is `inner.pkCol = expr`
 	// with expr being the very node the access path chose as that
@@ -219,55 +210,29 @@ func analyzeLookupJoin(p *selectPlan) *lookupJoin {
 
 	// Split the rest of the filter: outer-only conjuncts run DN-side in
 	// the fragment; everything else stays on the CN over joined rows.
-	var pushed []*fragment.Expr
-	var pushedSrc []Expr
-	var residual []Expr
+	var rest []Expr
 	for _, c := range conjuncts(p.filter) {
-		if consumed[c] {
-			continue
-		}
-		if fe, ok := compilePushExpr(c, p.tables); ok {
-			pushed = append(pushed, fe)
-			pushedSrc = append(pushedSrc, c)
-		} else {
-			residual = append(residual, c)
+		if !consumed[c] {
+			rest = append(rest, c)
 		}
 	}
-	cnFilter := andAll2(residual)
+	pushed, pushedSrc, residual := splitPushable(p, rest)
+	cnFilter, err := compileExpr(residual, p.rowScope())
+	if err != nil {
+		return nil
+	}
 
-	// Column shipping: the CN needs what outputs, residual filter,
-	// ORDER BY, HAVING and GROUP BY reference — per side. The lookup key
-	// expressions are evaluated on the data node over the full decoded
-	// outer row, so their columns need not ship.
-	oneed := map[int]bool{}
-	ineed := map[int]bool{}
-	collect := func(e Expr) {
-		collectColsOf(e, p.tables, 0, oneed)
-		collectColsOf(e, p.tables, 1, ineed)
+	// Column shipping: the CN needs what its expressions read — per side.
+	// The lookup key expressions are evaluated on the data node over the
+	// full decoded outer row, so their columns need not ship.
+	need := p.cnCols(cnFilter)
+	w0 := len(osch.Columns)
+	oproj := neededCols(need[:w0])
+	if oproj != nil && len(oproj) == 0 {
+		// Keep one column so shipped values stay non-empty.
+		oproj = []int{0}
 	}
-	for _, e := range p.outExprs {
-		collect(e)
-	}
-	collect(cnFilter)
-	for _, o := range p.orderBy {
-		collect(o.Expr)
-	}
-	collect(p.having)
-	for _, g := range p.groupBy {
-		collect(g)
-	}
-	var oproj []int
-	if len(oneed) < len(osch.Columns) {
-		oproj = sortedCols(oneed)
-		if len(oproj) == 0 {
-			// Keep one column so shipped values stay non-empty.
-			oproj = []int{0}
-		}
-	}
-	var iproj []int
-	if len(ineed) < len(isch.Columns) {
-		iproj = sortedCols(ineed) // may be empty: semi-join shape
-	}
+	iproj := neededCols(need[w0:]) // may be empty: semi-join shape
 
 	okinds := make([]table.Kind, len(osch.Columns))
 	for i, c := range osch.Columns {
@@ -290,13 +255,13 @@ func analyzeLookupJoin(p *selectPlan) *lookupJoin {
 		Project: oproj,
 		Lookup: &fragment.Lookup{
 			Prefix:   isch.TablePrefix(),
-			KeyExprs: keyExprs,
+			KeyExprs: inner.keys,
 			KeyKinds: keyKinds,
 			Kinds:    ikinds,
 			Project:  iproj,
 		},
 	}
-	return &lookupJoin{frag: frag, cnFilter: cnFilter, keyCols: keyCols, pushedExprs: pushedSrc}
+	return &lookupJoin{frag: frag, cnFilter: cnFilter, keyCols: keyCols, pushedExprs: pushedSrc, residual: residual}
 }
 
 // analyzeHashJoin extracts the equi-join key pairs a CN hash join can
@@ -346,7 +311,11 @@ func analyzeHashJoin(p *selectPlan) *hashJoin {
 	}
 	// Build-side access path: constant bindings only (outer = nil), so it
 	// can be opened once, before any outer row exists.
-	h.build = chooseAccess(p.tables[1], conjuncts(p.filter), p.tables, nil)
+	build, err := chooseAccess(p.tables[1], conjuncts(p.filter), p.tables, nil)
+	if err != nil {
+		return nil
+	}
+	h.build = build
 	return &h
 }
 
@@ -364,51 +333,6 @@ func hashKeyKinds(a, b table.Kind) (ok, float bool) {
 		return true, true
 	}
 	return false, false
-}
-
-// collectColsOf records the column positions of table ti referenced by e.
-func collectColsOf(e Expr, tables []*boundTable, ti int, into map[int]bool) {
-	switch x := e.(type) {
-	case *ColRef:
-		t, ci, err := resolveCol(x, tables)
-		if err == nil && t == ti {
-			into[ci] = true
-		}
-	case *BinaryExpr:
-		collectColsOf(x.Left, tables, ti, into)
-		collectColsOf(x.Right, tables, ti, into)
-	case *UnaryExpr:
-		collectColsOf(x.X, tables, ti, into)
-	case *IsNullExpr:
-		collectColsOf(x.X, tables, ti, into)
-	case *InExpr:
-		collectColsOf(x.X, tables, ti, into)
-		for _, it := range x.List {
-			collectColsOf(it, tables, ti, into)
-		}
-	case *BetweenExpr:
-		collectColsOf(x.X, tables, ti, into)
-		collectColsOf(x.Lo, tables, ti, into)
-		collectColsOf(x.Hi, tables, ti, into)
-	case *FuncExpr:
-		for _, a := range x.Args {
-			collectColsOf(a, tables, ti, into)
-		}
-	}
-}
-
-// sortedCols returns the set's positions in ascending order.
-func sortedCols(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for ci := range set {
-		out = append(out, ci)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
 }
 
 // autoHashFanFactor tunes AUTO's hash-vs-nested-loop choice for keyed
@@ -505,8 +429,8 @@ func (jp *joinPlan) describe(p *selectPlan) []string {
 			}
 			line += ", dn-filter " + strings.Join(parts, " AND ")
 		}
-		if lk.cnFilter != nil {
-			line += ", cn-residual " + lk.cnFilter.String()
+		if lk.residual != nil {
+			line += ", cn-residual " + lk.residual.String()
 		}
 		out = append(out, line)
 	}
@@ -518,80 +442,6 @@ func (jp *joinPlan) describe(p *selectPlan) []string {
 }
 
 // ---- Executor ----
-
-// openLookupRows opens the outer scan with the bound lookup fragment
-// attached: the returned Rows yield combined joined rows (full outer
-// width then full inner width) decoded by the fragment's JoinedDecoder.
-func openLookupRows(ctx context.Context, r reader, p *boundPlan, fetchLimit, pageHint, prefetch int, frag *fragment.Fragment) (*globaldb.Rows, error) {
-	s := p.outer
-	env := &rowEnv{tables: p.tables, params: p.params}
-	opts := globaldb.ScanOpts{Limit: fetchLimit, PageSize: pageHint, Prefetch: prefetch,
-		Range: scanRange(s, env), Pushdown: frag}
-	switch s.kind {
-	case accessPKPrefix:
-		keyVals := make([]any, len(s.keyExprs))
-		for i, e := range s.keyExprs {
-			v, err := evalExpr(e, env)
-			if err != nil {
-				return nil, err
-			}
-			keyVals[i] = v
-		}
-		keyVals, err := coerceKey(s.tab.schema, s.tab.schema.PK[:len(keyVals)], keyVals)
-		if err != nil {
-			return nil, err
-		}
-		return r.ScanPKRows(ctx, s.tab.schema.Name, keyVals, opts)
-	case accessFull:
-		return r.ScanTableRows(ctx, s.tab.schema.Name, opts)
-	default:
-		return nil, fmt.Errorf("gsql: lookup join on unexpected outer access %v", s.kind)
-	}
-}
-
-// lookupJoinIter adapts the fused lookup-join scan into two-table blocks:
-// every combined row splits into its outer and inner views by
-// sub-slicing — no copying, both halves share the batch's backing slab.
-type lookupJoinIter struct {
-	rows    *globaldb.Rows
-	totals  *scanTotals
-	counted bool
-	outerW  int
-
-	blk  rowBlock
-	tabs [2][]table.Row
-	ocol []table.Row
-	icol []table.Row
-}
-
-func (s *lookupJoinIter) NextBlock(context.Context) (*rowBlock, error) {
-	if !s.rows.NextBatch() {
-		return nil, s.rows.Err()
-	}
-	batch := s.rows.Batch()
-	if cap(s.ocol) < len(batch) {
-		s.ocol = make([]table.Row, len(batch))
-		s.icol = make([]table.Row, len(batch))
-	}
-	oc, ic := s.ocol[:len(batch)], s.icol[:len(batch)]
-	for i, cr := range batch {
-		oc[i] = cr[:s.outerW:s.outerW]
-		ic[i] = cr[s.outerW:]
-	}
-	s.tabs[0], s.tabs[1] = oc, ic
-	s.blk.tabs = s.tabs[:]
-	return &s.blk, nil
-}
-
-func (s *lookupJoinIter) Close() {
-	if !s.counted {
-		s.counted = true
-		if s.totals != nil {
-			s.totals.s = s.totals.s.Add(s.rows.ScanStats())
-		}
-	}
-	_ = s.rows.Close()
-}
 
 // hashJoinIter joins outer blocks against a hash table built once over
 // the materialized inner side. Probing is block-native: each outer batch

@@ -12,7 +12,8 @@ import (
 // and the nested loop with pushdown disabled (the oracle) —
 // and requires byte-identical results. The dataset is NULL-heavy on the
 // join columns (NULL never matches) and includes outer rows whose key
-// matches no inner row, the two classic join-bug magnets. This is the
+// matches no inner row, the two classic join-bug magnets; its DOUBLE
+// columns hold both zeros and join and compare against BIGINT values. This is the
 // correctness contract of the distributed join engine: fusing the inner
 // lookup into the outer scan's fragment, or replacing the rescan loop
 // with a hash table, must be invisible in results.
@@ -33,8 +34,12 @@ func TestDifferentialJoinEngine(t *testing.T) {
 			if rng.Int63n(10) == 0 {
 				name = "NULL"
 			}
-			exec(t, s, fmt.Sprintf("INSERT INTO jcust VALUES (%d, %d, %d, %d.0, %s)",
-				w, c, rng.Int63n(6), rng.Int63n(4), name))
+			fscore := fmt.Sprintf("%d.0", rng.Int63n(4))
+			if fscore == "0.0" && rng.Int63n(2) == 0 {
+				fscore = "-0.0"
+			}
+			exec(t, s, fmt.Sprintf("INSERT INTO jcust VALUES (%d, %d, %d, %s, %s)",
+				w, c, rng.Int63n(6), fscore, name))
 		}
 		for o := int64(1); o <= 40; o++ {
 			// c_id: NULL-heavy, and values above 8 match no customer.
@@ -43,8 +48,11 @@ func TestDifferentialJoinEngine(t *testing.T) {
 				cid = "NULL"
 			}
 			amt := fmt.Sprintf("%d.%02d", rng.Int63n(50), rng.Int63n(100))
-			if rng.Int63n(10) == 0 {
+			switch rng.Int63n(10) {
+			case 0:
 				amt = "NULL"
+			case 1:
+				amt = doubles[rng.Intn(len(doubles))]
 			}
 			tag := fmt.Sprintf("'t%d'", rng.Int63n(3))
 			if rng.Int63n(8) == 0 {
@@ -108,12 +116,13 @@ func TestDifferentialJoinEngine(t *testing.T) {
 
 	const pkOn = "ON c.w_id = o.w_id AND c.c_id = o.c_id"
 	queries := 0
-	for trial := 0; trial < 48; trial++ {
+	for trial := 0; trial < 60; trial++ {
 		q := rng.Int63n(50)
 		g := rng.Int63n(4)
 		r := rng.Int63n(6)
 		w := 1 + rng.Int63n(4)
-		switch trial % 8 {
+		d := doubles[rng.Intn(len(doubles))]
+		switch trial % 10 {
 		case 0: // pure PK lookup join, full outer scan
 			check("SELECT * FROM jord o JOIN jcust c "+pkOn, false, true, true)
 		case 1: // pushable outer filter rides the fragment
@@ -137,11 +146,17 @@ func TestDifferentialJoinEngine(t *testing.T) {
 		case 7: // BIGINT = DOUBLE join key: float-normalized hash path
 			check(fmt.Sprintf("SELECT o.o_id, c.c_id FROM jord o JOIN jcust c ON o.grp = c.fscore AND o.w_id = c.w_id WHERE o.o_id <= %d", 4+q/4),
 				false, false, true)
+		case 8: // zeros against BIGINT and DOUBLE values on both sides
+			check(fmt.Sprintf("SELECT o.o_id, o.amt, -c.fscore FROM jord o JOIN jcust c %s WHERE o.amt = 0 OR o.amt = %s OR c.fscore = %d", pkOn, d, g),
+				false, true, true)
+		case 9: // DOUBLE join key holding both zeros, grouped on the CN
+			check(fmt.Sprintf("SELECT c.fscore, COUNT(*), MIN(o.amt * 1) FROM jord o JOIN jcust c ON o.grp = c.fscore AND o.w_id = c.w_id WHERE o.o_id <= %d GROUP BY c.fscore", 8+q/2),
+				false, false, true)
 		}
 		queries += 4 // oracle + three strategy modes
 	}
-	if queries < 120 {
-		t.Fatalf("only %d queries exercised, want >= 120", queries)
+	if queries < 240 {
+		t.Fatalf("only %d queries exercised, want >= 240", queries)
 	}
 	if lookupRuns == 0 || hashRuns == 0 {
 		t.Fatalf("strategies not exercised: lookup=%d hash=%d", lookupRuns, hashRuns)

@@ -144,3 +144,95 @@ func TestNegativeZeroIsZero(t *testing.T) {
 		t.Fatalf("COUNT(DISTINCT) over ±0 and 2 = %v, want 2", n)
 	}
 }
+
+// TestAggregatesInScalarContexts checks that an aggregate call works
+// anywhere a value does in outputs and HAVING — inside scalar functions,
+// BETWEEN and IN — and that HAVING short-circuits AND exactly as WHERE
+// does, with pushdown on and off.
+func TestAggregatesInScalarContexts(t *testing.T) {
+	s := openSQL(t)
+	exec(t, s, "CREATE TABLE p (k BIGINT, g BIGINT, x BIGINT, PRIMARY KEY (k))")
+	exec(t, s, "INSERT INTO p VALUES (1, 1, -5), (2, 1, 3), (3, 2, 7)")
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT ABS(SUM(x)) FROM p", "[[5]]"},
+		{"SELECT COALESCE(MAX(x), 0) FROM p", "[[7]]"},
+		{"SELECT g FROM p GROUP BY g HAVING SUM(x) BETWEEN -3 AND 0 ORDER BY g", "[[1]]"},
+		{"SELECT g FROM p GROUP BY g HAVING SUM(x) IN (-2, 7) ORDER BY g", "[[1] [2]]"},
+		{"SELECT g FROM p GROUP BY g HAVING COUNT(*) > 5 AND SUM(x) / 0 > 1", "[]"},
+	} {
+		for _, push := range []bool{true, false} {
+			s.SetPushdown(push)
+			res, err := s.Exec(bg, tc.sql)
+			if err != nil {
+				t.Fatalf("%s (pushdown %v): %v", tc.sql, push, err)
+			}
+			if got := fmt.Sprint(res.Rows); got != tc.want {
+				t.Fatalf("%s (pushdown %v) = %s, want %s", tc.sql, push, got, tc.want)
+			}
+		}
+	}
+	s.SetPushdown(true)
+}
+
+// TestWritePlanCached checks that UPDATE and DELETE are planned once per
+// cached statement: repeated executions reuse the plan, and DDL that
+// moves the target column replans rather than writing by stale positions.
+func TestWritePlanCached(t *testing.T) {
+	s := openSQL(t)
+	exec(t, s, "CREATE TABLE acct (k BIGINT, a BIGINT, b BIGINT, PRIMARY KEY (k))")
+	exec(t, s, "INSERT INTO acct VALUES (1, 10, 100), (2, 20, 200)")
+	const upd = "UPDATE acct SET b = b + ? WHERE k = ?"
+	st, err := s.Prepare(bg, upd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wp := st.cs.write
+	if wp == nil {
+		t.Fatal("prepared UPDATE carries no plan")
+	}
+	hits0, misses0, _ := s.PlanCacheStats()
+	for i := 0; i < 3; i++ {
+		if res, err := st.Exec(bg, 1, 1); err != nil || res.Affected != 1 {
+			t.Fatalf("prepared UPDATE: %v %v", res, err)
+		}
+		if res, err := s.Exec(bg, upd, 1, 2); err != nil || res.Affected != 1 {
+			t.Fatalf("UPDATE: %v %v", res, err)
+		}
+	}
+	hits1, misses1, _ := s.PlanCacheStats()
+	if hits1-hits0 != 3 || misses1 != misses0 || st.cs.write != wp {
+		t.Fatalf("repeated UPDATE replanned: %d hits, %d misses, plan reused %v",
+			hits1-hits0, misses1-misses0, st.cs.write == wp)
+	}
+	if got := fmt.Sprint(exec(t, s, "SELECT k, a, b FROM acct ORDER BY k").Rows); got != "[[1 10 103] [2 20 203]]" {
+		t.Fatalf("after UPDATEs: %s", got)
+	}
+
+	// Same table name, b at a different position: the cached plans must
+	// not write by the old column positions.
+	exec(t, s, "DROP TABLE acct")
+	exec(t, s, "CREATE TABLE acct (k BIGINT, b BIGINT, a BIGINT, PRIMARY KEY (k))")
+	exec(t, s, "INSERT INTO acct VALUES (1, 100, 10)")
+	if res, err := st.Exec(bg, 5, 1); err != nil || res.Affected != 1 {
+		t.Fatalf("prepared UPDATE after DDL: %v %v", res, err)
+	}
+	if st.cs.write == wp {
+		t.Fatal("prepared UPDATE was not replanned after DDL")
+	}
+	if _, err := s.Exec(bg, upd, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(exec(t, s, "SELECT k, a, b FROM acct").Rows); got != "[[1 10 106]]" {
+		t.Fatalf("after DDL: %s, want [[1 10 106]]", got)
+	}
+	del, err := s.Prepare(bg, "DELETE FROM acct WHERE k = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if del.cs.write == nil {
+		t.Fatal("prepared DELETE carries no plan")
+	}
+	if res, err := del.Exec(bg, 1); err != nil || res.Affected != 1 {
+		t.Fatalf("prepared DELETE: %v %v", res, err)
+	}
+}

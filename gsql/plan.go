@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"globaldb/gsql/fragment"
 	"globaldb/internal/table"
 )
 
@@ -60,6 +61,11 @@ type tableScan struct {
 	rangeCol         int
 	rangeLo, rangeHi Expr
 	loExcl, hiExcl   bool
+
+	// keys, lo and hi are keyExprs, rangeLo and rangeHi compiled over the
+	// outer table's row (inner lookups) or over no columns (outer scans).
+	keys   []fragment.Expr
+	lo, hi *fragment.Expr
 }
 
 func (s *tableScan) describe() string {
@@ -108,6 +114,9 @@ type selectPlan struct {
 	// filter is the residual predicate: WHERE for single-table plans,
 	// WHERE AND ON for joins. Evaluated against the combined row.
 	filter Expr
+	// cnFilter is filter compiled over combined rows: the residual the
+	// CN evaluates when nothing is pushed down.
+	cnFilter *fragment.Expr
 
 	// Output shape.
 	outCols  []string // output column names
@@ -116,13 +125,18 @@ type selectPlan struct {
 	// Aggregation.
 	grouped  bool
 	aggs     []*FuncExpr // unique aggregate calls, in slot order
-	aggKeys  []string    // String() of each agg, aligned with aggs
 	groupBy  []Expr
 	having   Expr
 	orderBy  []OrderItem
 	limit    int64
 	offset   int64
 	distinct bool
+
+	// width is the number of columns in a combined row: the outer table's,
+	// then the inner table's.
+	width int
+	// cn holds the expressions the computing node evaluates, compiled.
+	cn *cnExprs
 
 	// push is the DN-partial execution phase, when any part of the plan
 	// can run on data nodes (see pushdown.go); nil otherwise. Execution
@@ -187,6 +201,8 @@ func (p *selectPlan) describe() []string {
 type boundPlan struct {
 	*selectPlan
 	params []any
+	// cn is the plan's compiled expressions with params bound.
+	cn     *cnExprs
 	limit  int64
 	offset int64
 	// noPushdown forces CN-side evaluation for this execution (session
@@ -206,7 +222,11 @@ type boundPlan struct {
 // bind attaches one execution's parameter values to a plan. The plan is
 // not modified, so it can be rebound with fresh values on every call.
 func (p *selectPlan) bind(params []any) (*boundPlan, error) {
-	bp := &boundPlan{selectPlan: p, params: params, limit: p.limit, offset: p.offset}
+	cn, err := p.cn.bind(params)
+	if err != nil {
+		return nil, err
+	}
+	bp := &boundPlan{selectPlan: p, params: params, cn: cn, limit: p.limit, offset: p.offset}
 	if e := p.stmt.LimitExpr; e != nil {
 		n, err := resolveCount(e, params, "LIMIT")
 		if err != nil {
@@ -227,7 +247,7 @@ func (p *selectPlan) bind(params []any) (*boundPlan, error) {
 // resolveCount evaluates a parameterized LIMIT/OFFSET to a non-negative
 // count.
 func resolveCount(e Expr, params []any, what string) (int64, error) {
-	v, err := evalExpr(e, &rowEnv{params: params})
+	v, err := evalConst(e, params)
 	if err != nil {
 		return 0, err
 	}
@@ -270,40 +290,12 @@ func planSelect(cat catalog, sel *Select) (*selectPlan, error) {
 		having: sel.Having,
 	}
 
-	// Check all column references resolve.
-	for _, it := range sel.Items {
-		if _, ok := it.Expr.(*Star); ok {
-			continue
-		}
-		if err := checkRefs(it.Expr, tables); err != nil {
-			return nil, err
-		}
-	}
 	conjs := conjuncts(sel.Where)
 	if sel.On != nil {
 		conjs = append(conjs, conjuncts(sel.On)...)
 	}
-	for _, c := range conjs {
-		if err := checkRefs(c, tables); err != nil {
-			return nil, err
-		}
-	}
-	for _, g := range sel.GroupBy {
-		if err := checkRefs(g, tables); err != nil {
-			return nil, err
-		}
-	}
-	for _, o := range sel.OrderBy {
-		// ORDER BY may also name a select alias; rewrite it first.
-		rewritten := rewriteAlias(o.Expr, sel.Items)
-		if err := checkRefs(rewritten, tables); err != nil {
-			return nil, err
-		}
-	}
-	if sel.Having != nil {
-		if err := checkRefs(sel.Having, tables); err != nil {
-			return nil, err
-		}
+	for _, bt := range tables {
+		p.width += len(bt.schema.Columns)
 	}
 
 	// Residual filter: WHERE (plus ON for joins).
@@ -318,9 +310,13 @@ func planSelect(cat catalog, sel *Select) (*selectPlan, error) {
 
 	// Access paths. The outer table binds only conjuncts whose value side
 	// is constant; the inner may bind outer column references too.
-	p.outer = chooseAccess(tables[0], conjs, tables, nil)
+	if p.outer, err = chooseAccess(tables[0], conjs, tables, nil); err != nil {
+		return nil, err
+	}
 	if len(tables) == 2 {
-		p.inner = chooseAccess(tables[1], conjs, tables, tables[0])
+		if p.inner, err = chooseAccess(tables[1], conjs, tables, tables[0]); err != nil {
+			return nil, err
+		}
 	}
 
 	// Output columns.
@@ -349,11 +345,9 @@ func planSelect(cat catalog, sel *Select) (*selectPlan, error) {
 		seen := map[string]bool{}
 		collect := func(e Expr) {
 			for _, f := range collectAggs(e) {
-				k := f.String()
-				if !seen[k] {
+				if k := f.String(); !seen[k] {
 					seen[k] = true
 					p.aggs = append(p.aggs, f)
-					p.aggKeys = append(p.aggKeys, k)
 				}
 			}
 		}
@@ -366,7 +360,12 @@ func planSelect(cat catalog, sel *Select) (*selectPlan, error) {
 		for _, o := range p.orderBy {
 			collect(o.Expr)
 		}
-		// Non-aggregate outputs must be group-by expressions.
+	}
+	if err := p.compile(); err != nil {
+		return nil, err
+	}
+	// Non-aggregate outputs must be group-by expressions.
+	if p.grouped {
 		if err := p.checkGrouping(); err != nil {
 			return nil, err
 		}
@@ -377,6 +376,71 @@ func planSelect(cat catalog, sel *Select) (*selectPlan, error) {
 	// Decide which physical join strategies the plan can execute with.
 	p.join = analyzeJoin(p)
 	return p, nil
+}
+
+// compile compiles the expressions the computing node evaluates (see
+// cnExprs); any expression that cannot be evaluated fails here, at plan
+// time, whether or not a row ever reaches it.
+func (p *selectPlan) compile() error {
+	var err error
+	if p.cnFilter, err = compileExpr(p.filter, p.rowScope()); err != nil {
+		return err
+	}
+	rows := p.rowScope()
+	cn := &cnExprs{}
+	if cn.groupBy, err = compileExprs(p.groupBy, rows); err != nil {
+		return err
+	}
+	final := p.rowScope()
+	if p.grouped {
+		final.aggs = make(map[string]int, len(p.aggs))
+		for i, fn := range p.aggs {
+			a, err := compileAgg(fn, rows)
+			if err != nil {
+				return err
+			}
+			cn.aggs = append(cn.aggs, a)
+			final.aggs[fn.String()] = p.width + i
+		}
+	}
+	if cn.outs, err = compileExprs(p.outExprs, final); err != nil {
+		return err
+	}
+	if cn.having, err = compileExpr(p.having, final); err != nil {
+		return err
+	}
+	cn.order = make([]fragment.Expr, len(p.orderBy))
+	for i, o := range p.orderBy {
+		if cn.order[i], err = final.compile(o.Expr); err != nil {
+			return err
+		}
+	}
+	cn.params = rows.params || final.params
+	p.cn = cn
+	return nil
+}
+
+// rowScope is the scope of the plan's combined rows: the outer table's
+// columns, then the inner table's.
+func (p *selectPlan) rowScope() *scope {
+	sc := &scope{tables: p.tables, offs: make([]int, len(p.tables))}
+	for t := 1; t < len(p.tables); t++ {
+		sc.offs[t] = sc.offs[t-1] + len(p.tables[t-1].schema.Columns)
+	}
+	return sc
+}
+
+// keyScope is the scope of scan keys and pushed fragments: only outer's
+// columns, at offset 0 — the outer scan's row. A nil outer puts no column
+// in scope.
+func keyScope(tables []*boundTable, outer *boundTable) *scope {
+	sc := &scope{tables: tables, offs: make([]int, len(tables))}
+	for ti, bt := range tables {
+		if bt != outer {
+			sc.offs[ti] = -1
+		}
+	}
+	return sc
 }
 
 // buildOutputs expands stars and names output columns.
@@ -488,56 +552,6 @@ func conjuncts(e Expr) []Expr {
 		return append(conjuncts(b.Left), conjuncts(b.Right)...)
 	}
 	return []Expr{e}
-}
-
-// checkRefs verifies every column reference in e resolves unambiguously.
-func checkRefs(e Expr, tables []*boundTable) error {
-	switch x := e.(type) {
-	case *ColRef:
-		_, _, err := resolveCol(x, tables)
-		return err
-	case *Literal, *Placeholder, *Star, nil:
-		return nil
-	case *BinaryExpr:
-		if err := checkRefs(x.Left, tables); err != nil {
-			return err
-		}
-		return checkRefs(x.Right, tables)
-	case *UnaryExpr:
-		return checkRefs(x.X, tables)
-	case *IsNullExpr:
-		return checkRefs(x.X, tables)
-	case *InExpr:
-		if err := checkRefs(x.X, tables); err != nil {
-			return err
-		}
-		for _, it := range x.List {
-			if err := checkRefs(it, tables); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *BetweenExpr:
-		if err := checkRefs(x.X, tables); err != nil {
-			return err
-		}
-		if err := checkRefs(x.Lo, tables); err != nil {
-			return err
-		}
-		return checkRefs(x.Hi, tables)
-	case *FuncExpr:
-		for _, a := range x.Args {
-			if _, ok := a.(*Star); ok {
-				continue
-			}
-			if err := checkRefs(a, tables); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("gsql: cannot analyze %T", e)
-	}
 }
 
 // resolveCol finds the table and column positions of a reference.
@@ -662,8 +676,9 @@ func extractEq(target *boundTable, targetIdx int, conjs []Expr, tables []*boundT
 
 // chooseAccess picks the cheapest access path for one table given the
 // equality bindings available, then pushes any residual range on the next
-// key column into the scan's bounds.
-func chooseAccess(bt *boundTable, conjs []Expr, tables []*boundTable, outer *boundTable) *tableScan {
+// key column into the scan's bounds, and compiles the scan's key and range
+// expressions over outer's row.
+func chooseAccess(bt *boundTable, conjs []Expr, tables []*boundTable, outer *boundTable) (*tableScan, error) {
 	targetIdx := -1
 	for ti, t := range tables {
 		if t == bt {
@@ -722,7 +737,18 @@ func chooseAccess(bt *boundTable, conjs []Expr, tables []*boundTable, outer *bou
 	if scan.rangeCol >= 0 {
 		attachRange(scan, targetIdx, conjs, tables, outer)
 	}
-	return scan
+	sc := keyScope(tables, outer)
+	var err error
+	if scan.keys, err = compileExprs(scan.keyExprs, sc); err != nil {
+		return nil, err
+	}
+	if scan.lo, err = compileExpr(scan.rangeLo, sc); err != nil {
+		return nil, err
+	}
+	if scan.hi, err = compileExpr(scan.rangeHi, sc); err != nil {
+		return nil, err
+	}
+	return scan, nil
 }
 
 func indexScanOf(bt *boundTable, name string, cols []int, eq map[int]Expr) *tableScan {

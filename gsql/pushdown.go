@@ -13,9 +13,11 @@ import (
 // fragment.Fragment of filters, projections and partial aggregates that
 // data nodes evaluate inside the paged scan RPC) and a CN-final phase (the
 // residual filter, partial-state merge, HAVING, ORDER BY, DISTINCT,
-// LIMIT/OFFSET). Anything it cannot prove pushable stays on the computing
-// node, so the rewrite only ever narrows what crosses the WAN, never what
-// the query means.
+// LIMIT/OFFSET). Both phases evaluate the same compiled fragment.Expr
+// trees with the same evaluator (compile.go), so the split decides only
+// where an expression runs. Anything it cannot prove pushable stays on the
+// computing node, so the rewrite only ever narrows what crosses the WAN,
+// never what the query means.
 
 // pushPlan records a SELECT's DN-partial phase.
 type pushPlan struct {
@@ -23,9 +25,9 @@ type pushPlan struct {
 	// and are bound per execution, so cached plans push down too.
 	frag *fragment.Fragment
 	// cnFilter is the residual filter evaluated on the CN when the
-	// fragment is attached (the pushed conjuncts removed); nil when the
-	// whole filter pushed down.
-	cnFilter Expr
+	// fragment is attached (the pushed conjuncts removed), compiled over
+	// combined rows; nil when the whole filter pushed down.
+	cnFilter *fragment.Expr
 	// agg marks a DN-partial aggregation (CN merges states per group).
 	agg bool
 	// groupCols are the outer-schema positions of the GROUP BY columns
@@ -34,6 +36,7 @@ type pushPlan struct {
 
 	// describe-only fields (EXPLAIN).
 	pushedExprs []Expr
+	residual    Expr
 	projected   []string
 }
 
@@ -52,33 +55,25 @@ func analyzePushdown(p *selectPlan) *pushPlan {
 		kinds[i] = c.Kind
 	}
 
-	// Split the residual filter: conjuncts that compile against the outer
-	// table alone run on the data nodes; the rest stay on the CN.
-	var pushed []*fragment.Expr
-	var pushedSrc []Expr
-	var residual []Expr
-	for _, c := range conjuncts(p.filter) {
-		if fe, ok := compilePushExpr(c, p.tables); ok {
-			pushed = append(pushed, fe)
-			pushedSrc = append(pushedSrc, c)
-		} else {
-			residual = append(residual, c)
-		}
+	pushed, pushedSrc, residual := splitPushable(p, conjuncts(p.filter))
+	cnFilter, err := compileExpr(residual, p.rowScope())
+	if err != nil {
+		return nil
 	}
-
 	pp := &pushPlan{
 		frag:        &fragment.Fragment{Kinds: kinds, Filter: andAll(pushed)},
-		cnFilter:    andAll2(residual),
+		cnFilter:    cnFilter,
 		pushedExprs: pushedSrc,
+		residual:    residual,
 	}
 
-	if aggPush := analyzeAggPushdown(p, pp, residual); aggPush {
+	if aggPush := analyzeAggPushdown(p, pp); aggPush {
 		return pp
 	}
 
 	// Row pushdown: a pushed filter and/or a projection must actually save
 	// something, or the fragment is pure overhead.
-	proj := projectionFor(p, pp.cnFilter, sch)
+	proj := projectionFor(p, pp.cnFilter)
 	if proj != nil {
 		pp.frag.Project = proj
 		for _, c := range proj {
@@ -91,50 +86,62 @@ func analyzePushdown(p *selectPlan) *pushPlan {
 	return pp
 }
 
+// splitPushable splits conjuncts into those that compile against the
+// outer table alone — they run on the data nodes — and the residual the
+// CN still evaluates, folded back into one expression.
+func splitPushable(p *selectPlan, conjs []Expr) (pushed []*fragment.Expr, pushedSrc []Expr, residual Expr) {
+	outer := keyScope(p.tables, p.tables[0])
+	var rest []Expr
+	for _, c := range conjs {
+		if fe, err := compileExpr(c, outer); err == nil {
+			pushed = append(pushed, fe)
+			pushedSrc = append(pushedSrc, c)
+		} else {
+			rest = append(rest, c)
+		}
+	}
+	return pushed, pushedSrc, andAll2(rest)
+}
+
 // analyzeAggPushdown upgrades the fragment to DN-partial aggregation when
 // the whole plan qualifies: single table, fully pushed filter, plain
 // column GROUP BY, and only mergeable aggregates. DN group keys and CN-side
 // grouping share one key encoding, so float group columns group the same
 // way on either side.
-func analyzeAggPushdown(p *selectPlan, pp *pushPlan, residual []Expr) bool {
-	if !p.grouped || p.inner != nil || len(residual) > 0 {
+func analyzeAggPushdown(p *selectPlan, pp *pushPlan) bool {
+	if !p.grouped || p.inner != nil || pp.cnFilter != nil {
 		return false
 	}
-	groupCols := make([]int, 0, len(p.groupBy))
-	groupSet := map[int]bool{}
-	for _, g := range p.groupBy {
-		cr, ok := g.(*ColRef)
-		if !ok {
+	// A single table's combined rows are its stored rows, so the CN's
+	// compiled GROUP BY keys and aggregate specs are the DN's too.
+	groupCols := make([]int, len(p.cn.groupBy))
+	isGroupCol := make([]bool, p.width)
+	for i, g := range p.cn.groupBy {
+		if g.Op != fragment.OpCol {
 			return false
 		}
-		ti, ci, err := resolveCol(cr, p.tables)
-		if err != nil || ti != 0 {
-			return false
-		}
-		groupCols = append(groupCols, ci)
-		groupSet[ci] = true
+		groupCols[i] = g.Col
+		isGroupCol[g.Col] = true
 	}
-	specs := make([]fragment.AggSpec, 0, len(p.aggs))
-	for _, fn := range p.aggs {
-		spec, ok := compileAggSpec(fn, p.tables)
-		if !ok {
-			return false
+	specs := make([]fragment.AggSpec, len(p.cn.aggs))
+	for i, a := range p.cn.aggs {
+		if a.distinct {
+			return false // no mergeable partial state
 		}
-		specs = append(specs, spec)
+		specs[i] = a.spec
 	}
 	// Everything evaluated after the merge — outputs, HAVING, ORDER BY —
-	// may only touch group columns (reconstructable from the group key)
-	// and aggregate slots (carried as states).
-	for _, e := range p.outExprs {
-		if !refsWithinGroup(e, p.tables, groupSet) {
-			return false
+	// reads group rows, which carry only the group columns (rebuilt from
+	// the group key) and the aggregate slots (carried as states).
+	read := make([]bool, p.width+len(p.aggs))
+	fragment.ExprCols(p.cn.having, read)
+	for _, es := range [][]fragment.Expr{p.cn.outs, p.cn.order} {
+		for i := range es {
+			fragment.ExprCols(&es[i], read)
 		}
 	}
-	if p.having != nil && !refsWithinGroup(p.having, p.tables, groupSet) {
-		return false
-	}
-	for _, o := range p.orderBy {
-		if !refsWithinGroup(o.Expr, p.tables, groupSet) {
+	for c := 0; c < p.width; c++ {
+		if read[c] && !isGroupCol[c] {
 			return false
 		}
 	}
@@ -142,310 +149,62 @@ func analyzeAggPushdown(p *selectPlan, pp *pushPlan, residual []Expr) bool {
 	pp.frag.Aggs = specs
 	pp.agg = true
 	pp.groupCols = groupCols
-	pp.cnFilter = nil
 	return true
 }
 
-// compileAggSpec translates one gsql aggregate call into a partial
-// aggregate slot. DISTINCT aggregates are not mergeable across shards and
-// stay on the CN.
-func compileAggSpec(fn *FuncExpr, tables []*boundTable) (fragment.AggSpec, bool) {
-	if fn.Distinct {
-		return fragment.AggSpec{}, false
-	}
-	var kind fragment.AggKind
-	switch fn.Name {
-	case "COUNT":
-		kind = fragment.AggCount
-	case "SUM":
-		kind = fragment.AggSum
-	case "AVG":
-		kind = fragment.AggAvg
-	case "MIN":
-		kind = fragment.AggMin
-	case "MAX":
-		kind = fragment.AggMax
-	default:
-		return fragment.AggSpec{}, false
-	}
-	if len(fn.Args) == 1 {
-		if _, isStar := fn.Args[0].(*Star); isStar {
-			if fn.Name != "COUNT" {
-				return fragment.AggSpec{}, false
-			}
-			return fragment.AggSpec{Kind: kind, Star: true}, true
+// cnCols marks the combined-row columns the computing node reads after its
+// scans: those of filter, the outputs, ORDER BY keys, HAVING, GROUP BY keys
+// and aggregate arguments.
+func (p *selectPlan) cnCols(filter *fragment.Expr) []bool {
+	need := make([]bool, p.width+len(p.aggs))
+	fragment.ExprCols(filter, need)
+	fragment.ExprCols(p.cn.having, need)
+	for _, es := range [][]fragment.Expr{p.cn.outs, p.cn.order, p.cn.groupBy} {
+		for i := range es {
+			fragment.ExprCols(&es[i], need)
 		}
 	}
-	if len(fn.Args) != 1 {
-		return fragment.AggSpec{}, false
+	for _, a := range p.cn.aggs {
+		fragment.ExprCols(a.spec.Arg, need)
 	}
-	arg, ok := compilePushExpr(fn.Args[0], tables)
-	if !ok {
-		return fragment.AggSpec{}, false
-	}
-	return fragment.AggSpec{Kind: kind, Arg: arg}, true
+	return need[:p.width]
 }
 
-// refsWithinGroup reports whether every column reference in e (outside
-// aggregate calls) names a group column of the outer table.
-func refsWithinGroup(e Expr, tables []*boundTable, groupSet map[int]bool) bool {
-	switch x := e.(type) {
-	case nil, *Literal, *Placeholder:
-		return true
-	case *Star:
-		return false
-	case *ColRef:
-		ti, ci, err := resolveCol(x, tables)
-		return err == nil && ti == 0 && groupSet[ci]
-	case *FuncExpr:
-		if aggregateFuncs[x.Name] {
-			return true // the aggregate's value comes from the merged state
+// neededCols lists the positions need marks, in ascending order, or
+// returns nil when it marks every one (shipping full rows costs nothing
+// extra).
+func neededCols(need []bool) []int {
+	out := []int{}
+	for c, ok := range need {
+		if ok {
+			out = append(out, c)
 		}
-		for _, a := range x.Args {
-			if !refsWithinGroup(a, tables, groupSet) {
-				return false
-			}
-		}
-		return true
-	case *BinaryExpr:
-		return refsWithinGroup(x.Left, tables, groupSet) && refsWithinGroup(x.Right, tables, groupSet)
-	case *UnaryExpr:
-		return refsWithinGroup(x.X, tables, groupSet)
-	case *IsNullExpr:
-		return refsWithinGroup(x.X, tables, groupSet)
-	case *InExpr:
-		if !refsWithinGroup(x.X, tables, groupSet) {
-			return false
-		}
-		for _, it := range x.List {
-			if !refsWithinGroup(it, tables, groupSet) {
-				return false
-			}
-		}
-		return true
-	case *BetweenExpr:
-		return refsWithinGroup(x.X, tables, groupSet) &&
-			refsWithinGroup(x.Lo, tables, groupSet) && refsWithinGroup(x.Hi, tables, groupSet)
-	default:
-		return false
 	}
+	if len(out) == len(need) {
+		return nil
+	}
+	return out
 }
 
 // projectionFor computes the outer columns the CN still needs once the
-// pushed conjuncts run DN-side. Returns nil when every column is needed
-// (shipping full rows costs nothing extra).
-func projectionFor(p *selectPlan, cnFilter Expr, sch *table.Schema) []int {
-	needed := map[int]bool{}
-	collect := func(e Expr) { collectOuterCols(e, p.tables, needed) }
-	for _, e := range p.outExprs {
-		collect(e)
-	}
-	collect(cnFilter)
-	for _, o := range p.orderBy {
-		collect(o.Expr)
-	}
-	collect(p.having)
-	for _, g := range p.groupBy {
-		collect(g)
-	}
+// pushed conjuncts run DN-side. Returns nil when every column is needed.
+func projectionFor(p *selectPlan, cnFilter *fragment.Expr) []int {
+	need := p.cnCols(cnFilter)
 	if p.inner != nil {
 		// Inner lookups bind outer columns in their key and range exprs.
-		for _, e := range p.inner.keyExprs {
-			collect(e)
+		for i := range p.inner.keys {
+			fragment.ExprCols(&p.inner.keys[i], need)
 		}
-		collect(p.inner.rangeLo)
-		collect(p.inner.rangeHi)
+		fragment.ExprCols(p.inner.lo, need)
+		fragment.ExprCols(p.inner.hi, need)
 	}
-	if len(needed) >= len(sch.Columns) {
-		return nil
-	}
-	out := make([]int, 0, len(needed))
-	for ci := range needed {
-		out = append(out, ci)
-	}
-	// Schema order keeps the projected encoding deterministic.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	if len(out) == 0 {
+	out := neededCols(need[:len(p.outer.tab.schema.Columns)])
+	if out != nil && len(out) == 0 {
 		// Keep at least one column so shipped rows stay decodable (e.g.
 		// SELECT COUNT(*) on the CN-side grouped path).
 		out = append(out, 0)
 	}
 	return out
-}
-
-// collectOuterCols records outer-table column positions referenced by e.
-func collectOuterCols(e Expr, tables []*boundTable, into map[int]bool) {
-	switch x := e.(type) {
-	case *ColRef:
-		ti, ci, err := resolveCol(x, tables)
-		if err == nil && ti == 0 {
-			into[ci] = true
-		}
-	case *BinaryExpr:
-		collectOuterCols(x.Left, tables, into)
-		collectOuterCols(x.Right, tables, into)
-	case *UnaryExpr:
-		collectOuterCols(x.X, tables, into)
-	case *IsNullExpr:
-		collectOuterCols(x.X, tables, into)
-	case *InExpr:
-		collectOuterCols(x.X, tables, into)
-		for _, it := range x.List {
-			collectOuterCols(it, tables, into)
-		}
-	case *BetweenExpr:
-		collectOuterCols(x.X, tables, into)
-		collectOuterCols(x.Lo, tables, into)
-		collectOuterCols(x.Hi, tables, into)
-	case *FuncExpr:
-		for _, a := range x.Args {
-			collectOuterCols(a, tables, into)
-		}
-	}
-}
-
-// compilePushExpr translates a gsql expression into a serializable
-// fragment expression over the outer table's storage positions. It fails
-// (ok=false) on anything the DN evaluator does not mirror — references to
-// other tables, aggregates, stars — keeping the translation conservative:
-// a conjunct that does not compile simply stays on the CN.
-func compilePushExpr(e Expr, tables []*boundTable) (*fragment.Expr, bool) {
-	switch x := e.(type) {
-	case *Literal:
-		switch x.Val.(type) {
-		case nil, int64, float64, string, []byte, bool:
-			return &fragment.Expr{Op: fragment.OpConst, Val: x.Val}, true
-		}
-		return nil, false
-	case *Placeholder:
-		return &fragment.Expr{Op: fragment.OpParam, Col: x.Idx}, true
-	case *ColRef:
-		ti, ci, err := resolveCol(x, tables)
-		if err != nil || ti != 0 {
-			return nil, false
-		}
-		return &fragment.Expr{Op: fragment.OpCol, Col: ci}, true
-	case *BinaryExpr:
-		op, ok := binaryOps[x.Op]
-		if !ok {
-			return nil, false
-		}
-		l, ok := compilePushExpr(x.Left, tables)
-		if !ok {
-			return nil, false
-		}
-		r, ok := compilePushExpr(x.Right, tables)
-		if !ok {
-			return nil, false
-		}
-		return &fragment.Expr{Op: op, Args: []fragment.Expr{*l, *r}}, true
-	case *UnaryExpr:
-		arg, ok := compilePushExpr(x.X, tables)
-		if !ok {
-			return nil, false
-		}
-		switch x.Op {
-		case "NOT":
-			return &fragment.Expr{Op: fragment.OpNot, Args: []fragment.Expr{*arg}}, true
-		case "-":
-			return &fragment.Expr{Op: fragment.OpNeg, Args: []fragment.Expr{*arg}}, true
-		}
-		return nil, false
-	case *IsNullExpr:
-		arg, ok := compilePushExpr(x.X, tables)
-		if !ok {
-			return nil, false
-		}
-		op := fragment.OpIsNull
-		if x.Neg {
-			op = fragment.OpNotNull
-		}
-		return &fragment.Expr{Op: op, Args: []fragment.Expr{*arg}}, true
-	case *InExpr:
-		probe, ok := compilePushExpr(x.X, tables)
-		if !ok {
-			return nil, false
-		}
-		args := []fragment.Expr{*probe}
-		for _, it := range x.List {
-			fe, ok := compilePushExpr(it, tables)
-			if !ok {
-				return nil, false
-			}
-			args = append(args, *fe)
-		}
-		op := fragment.OpIn
-		if x.Neg {
-			op = fragment.OpNotIn
-		}
-		return &fragment.Expr{Op: op, Args: args}, true
-	case *BetweenExpr:
-		v, ok := compilePushExpr(x.X, tables)
-		if !ok {
-			return nil, false
-		}
-		lo, ok := compilePushExpr(x.Lo, tables)
-		if !ok {
-			return nil, false
-		}
-		hi, ok := compilePushExpr(x.Hi, tables)
-		if !ok {
-			return nil, false
-		}
-		op := fragment.OpBetween
-		if x.Neg {
-			op = fragment.OpNotBetween
-		}
-		return &fragment.Expr{Op: op, Args: []fragment.Expr{*v, *lo, *hi}}, true
-	case *FuncExpr:
-		if aggregateFuncs[x.Name] {
-			return nil, false
-		}
-		op, ok := scalarOps[x.Name]
-		if !ok {
-			return nil, false
-		}
-		if x.Name == "COALESCE" {
-			var args []fragment.Expr
-			for _, a := range x.Args {
-				fe, ok := compilePushExpr(a, tables)
-				if !ok {
-					return nil, false
-				}
-				args = append(args, *fe)
-			}
-			return &fragment.Expr{Op: op, Args: args}, true
-		}
-		if len(x.Args) != 1 {
-			return nil, false
-		}
-		arg, ok := compilePushExpr(x.Args[0], tables)
-		if !ok {
-			return nil, false
-		}
-		return &fragment.Expr{Op: op, Args: []fragment.Expr{*arg}}, true
-	default:
-		return nil, false
-	}
-}
-
-var binaryOps = map[string]fragment.Op{
-	"=": fragment.OpEq, "<>": fragment.OpNe,
-	"<": fragment.OpLt, "<=": fragment.OpLe,
-	">": fragment.OpGt, ">=": fragment.OpGe,
-	"AND": fragment.OpAnd, "OR": fragment.OpOr,
-	"+": fragment.OpAdd, "-": fragment.OpSub, "*": fragment.OpMul,
-	"/": fragment.OpDiv, "%": fragment.OpMod,
-	"LIKE": fragment.OpLike,
-}
-
-var scalarOps = map[string]fragment.Op{
-	"ABS": fragment.OpAbs, "LOWER": fragment.OpLower, "UPPER": fragment.OpUpper,
-	"LENGTH": fragment.OpLength, "COALESCE": fragment.OpCoalesce,
 }
 
 // andAll folds compiled conjuncts into one fragment expression.
@@ -503,8 +262,8 @@ func (pp *pushPlan) describe(p *selectPlan) []string {
 	switch {
 	case pp.agg:
 		out = append(out, "  cn-final: merge partial aggregate states across shards")
-	case pp.cnFilter != nil:
-		out = append(out, "  cn-residual filter: "+pp.cnFilter.String())
+	case pp.residual != nil:
+		out = append(out, "  cn-residual filter: "+pp.residual.String())
 	default:
 		out = append(out, "  cn-residual filter: none")
 	}

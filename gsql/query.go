@@ -42,8 +42,7 @@ type Rows struct {
 	it      blockIter
 	blk     *rowBlock
 	bi      int
-	env     rowEnv
-	scr     [2]table.Row
+	scr     table.Row       // rowBlock.row scratch for joins
 	seen    map[string]bool // DISTINCT filter
 	enc     keys.Encoder    // DISTINCT key scratch
 	skipped int64
@@ -108,9 +107,9 @@ func (r *Rows) Next() bool {
 			}
 			r.blk, r.bi = blk, 0
 		}
-		r.env.rows = r.blk.row(r.bi, r.scr[:])
+		row := r.blk.row(r.bi, r.scr)
 		r.bi++
-		out, err := projectEnv(r.bp, &r.env)
+		out, err := evalRow(r.bp.cn.outs, row)
 		if err != nil {
 			r.err = err
 			return false

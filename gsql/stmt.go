@@ -71,7 +71,7 @@ func (st *Stmt) Exec(ctx context.Context, args ...any) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return st.sess.dispatch(ctx, cs.stmt, cs.plan, params)
+	return st.sess.dispatch(ctx, cs, params)
 }
 
 // Query runs a prepared SELECT and streams its result rows.

@@ -1,6 +1,10 @@
 package gsql
 
-import "sort"
+import (
+	"sort"
+
+	"globaldb/gsql/fragment"
+)
 
 // topN retains the k rows that order first under an ORDER BY, replacing
 // the drain-and-fully-sort path when a LIMIT bounds the result: admission
@@ -55,22 +59,18 @@ func (t *topN) cmp(ka []any, sa int64, kb []any, sb int64) (int, error) {
 	return 0, nil
 }
 
-// tryAdmitKeys evaluates the ORDER BY keys for the environment's current
-// row and reports whether the row belongs in the top k: always while the
-// heap is filling, and only when it orders strictly before the current
-// worst survivor once full. Rejected rows are never projected, which is
-// what makes the scan-side work per dropped row O(keys) only.
-func (t *topN) tryAdmitKeys(env *rowEnv) ([]any, bool, error) {
+// tryAdmitKeys evaluates the compiled ORDER BY keys over row and reports
+// whether the row belongs in the top k: always while the heap is filling,
+// and only when it orders strictly before the current worst survivor once
+// full. Rejected rows are never projected, which is what makes the
+// scan-side work per dropped row O(keys) only.
+func (t *topN) tryAdmitKeys(order []fragment.Expr, row []any) ([]any, bool, error) {
 	if t.k == 0 {
 		return nil, false, nil
 	}
-	keys := make([]any, len(t.orderBy))
-	for i, o := range t.orderBy {
-		v, err := evalExpr(o.Expr, env)
-		if err != nil {
-			return nil, false, err
-		}
-		keys[i] = v
+	keys, err := evalRow(order, row)
+	if err != nil {
+		return nil, false, err
 	}
 	if int64(len(t.rows)) < t.k {
 		return keys, true, nil
